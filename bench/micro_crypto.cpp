@@ -1,6 +1,8 @@
 // Microbenchmarks (wall clock, google-benchmark): throughput of the
 // from-scratch crypto used on every SGFS byte.  These validate that the
-// *real* transformations behind the simulation are genuine work.
+// *real* transformations behind the simulation are genuine work.  SHA,
+// HMAC, AES and Merkle rows run on the kernel this CPU selected (SHA-NI /
+// AES-NI or the scalar reference); each row's label names it.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -11,6 +13,7 @@
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kernels.hpp"
 #include "crypto/merkle.hpp"
 #include "crypto/rc4.hpp"
 #include "crypto/rsa.hpp"
@@ -28,6 +31,7 @@ Buffer payload(size_t n) {
 
 void BM_Sha1(benchmark::State& state) {
   Buffer data = payload(static_cast<size_t>(state.range(0)));
+  state.SetLabel(sha_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha1::hash(data));
   }
@@ -37,6 +41,7 @@ BENCHMARK(BM_Sha1)->Arg(1024)->Arg(32 * 1024)->Arg(1024 * 1024);
 
 void BM_Sha256(benchmark::State& state) {
   Buffer data = payload(static_cast<size_t>(state.range(0)));
+  state.SetLabel(sha_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Sha256::hash(data));
   }
@@ -47,6 +52,7 @@ BENCHMARK(BM_Sha256)->Arg(32 * 1024);
 void BM_HmacSha1(benchmark::State& state) {
   Buffer key = payload(20);
   Buffer data = payload(static_cast<size_t>(state.range(0)));
+  state.SetLabel(sha_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(HmacSha1::mac(key, data));
   }
@@ -58,6 +64,7 @@ void BM_Aes256CbcEncrypt(benchmark::State& state) {
   Aes aes(payload(32));
   Buffer iv = payload(16);
   Buffer data = payload(static_cast<size_t>(state.range(0)));
+  state.SetLabel(aes_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(aes_cbc_encrypt(aes, iv, data));
   }
@@ -70,6 +77,7 @@ void BM_Aes256CbcDecrypt(benchmark::State& state) {
   Buffer iv = payload(16);
   Buffer ct = aes_cbc_encrypt(aes, iv, payload(static_cast<size_t>(
                                            state.range(0))));
+  state.SetLabel(aes_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(aes_cbc_decrypt(aes, iv, ct));
   }
@@ -127,6 +135,7 @@ std::vector<Buffer> merkle_blocks(size_t count, size_t bytes) {
 void BM_MerkleBuild(benchmark::State& state) {
   const size_t count = static_cast<size_t>(state.range(0));
   const auto blocks = merkle_blocks(count, 32 * 1024);
+  state.SetLabel(sha_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MerkleTree::build(count, [&](size_t i) {
       return ByteView(blocks[i].data(), blocks[i].size());
@@ -145,6 +154,7 @@ void BM_MerkleVerifyPath(benchmark::State& state) {
   });
   const auto proof = tree.proof(count / 2);
   const ByteView block(blocks[count / 2].data(), blocks[count / 2].size());
+  state.SetLabel(sha_kernel().name);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         MerkleTree::verify(tree.root(), count, count / 2, block, proof));
@@ -411,9 +421,48 @@ void check_merkle_schedule() {
               "honest proofs verify, corrupt block/sibling rejected\n");
 }
 
+// The SHA/HMAC/AES/Merkle rows time the kernel this CPU selected.  They
+// only count if it computes what the scalar reference does: hash, encrypt
+// and decrypt one fixed unaligned buffer with both kernels and abort on any
+// difference.
+void check_kernel_equivalence() {
+  Rng rng(51);
+  const Buffer pool = rng.bytes(4161);
+  const ByteView data(pool.data() + 1, 4160);
+  if (const ShaKernel* ni = sha_ni_kernel()) {
+    Sha1 ref1(kShaScalar), fast1(*ni);
+    Sha256 ref256(kShaScalar), fast256(*ni);
+    ref1.update(data);
+    fast1.update(data);
+    ref256.update(data);
+    fast256.update(data);
+    if (ref1.finish() != fast1.finish() ||
+        ref256.finish() != fast256.finish()) {
+      std::fprintf(stderr, "FATAL: %s digest differs from scalar\n",
+                   ni->name);
+      std::abort();
+    }
+  }
+  if (const AesKernel* ni = aes_ni_kernel()) {
+    const Buffer key = rng.bytes(32);
+    const Buffer iv = rng.bytes(16);
+    const Aes ref(key, kAesScalar), fast(key, *ni);
+    const Buffer ct = aes_cbc_encrypt(ref, iv, data);
+    if (aes_cbc_encrypt(fast, iv, data) != ct ||
+        aes_cbc_decrypt(fast, iv, ct) != Buffer(data.begin(), data.end())) {
+      std::fprintf(stderr, "FATAL: %s CBC differs from scalar\n", ni->name);
+      std::abort();
+    }
+  }
+  std::printf("kernel self-check: sha=%s aes=%s agree with the scalar "
+              "reference on a 4160-byte unaligned buffer\n",
+              sha_kernel().name, aes_kernel().name);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  check_kernel_equivalence();
   check_stream_key_schedule();
   check_establishment_schedule();
   check_merkle_schedule();

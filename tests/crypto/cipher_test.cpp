@@ -3,6 +3,7 @@
 #include "common/rng.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/rc4.hpp"
+#include "kernel_list.hpp"
 
 namespace sgfs::crypto {
 namespace {
@@ -113,6 +114,113 @@ TEST(AesCbc, RejectsBadIv) {
   Aes aes(rng.bytes(16));
   EXPECT_THROW(aes_cbc_encrypt(aes, Buffer(8, 0), Buffer(16, 0)),
                std::invalid_argument);
+}
+
+// AES-NI against the scalar reference on seeded random input, for AES-128
+// and AES-256: padded CBC at every length 0-4160 from start offsets 1-15
+// (never 16-byte aligned), and raw CBC decrypt of 1-17 blocks, which is the
+// 8-way body plus every tail length.
+TEST(AesKernels, AesNiMatchesScalarRandomized) {
+  const AesKernel* ni = aes_ni_kernel();
+  if (ni == nullptr) {
+    GTEST_SKIP() << "CPU lacks AES-NI: the scalar kernel is the only path";
+  }
+  Rng rng(197);
+  const Buffer pool = rng.bytes(4160 + 16);
+  for (size_t key_len : {16u, 32u}) {
+    SCOPED_TRACE(key_len);
+    const Buffer key = rng.bytes(key_len);
+    const Buffer iv = rng.bytes(16);
+    const Aes ref(key, kAesScalar), fast(key, *ni);
+    for (size_t len = 0; len <= 4160; ++len) {
+      const ByteView pt(pool.data() + rng.next_range(1, 15), len);
+      const Buffer ct = aes_cbc_encrypt(ref, iv, pt);
+      ASSERT_EQ(aes_cbc_encrypt(fast, iv, pt), ct) << "length " << len;
+      ASSERT_EQ(aes_cbc_decrypt(fast, iv, ct), Buffer(pt.begin(), pt.end()))
+          << "length " << len;
+    }
+    for (size_t blocks = 1; blocks <= 17; ++blocks) {
+      const uint8_t* ct = pool.data() + rng.next_range(1, 15);
+      Buffer ref_out(16 * blocks), fast_out(16 * blocks);
+      Buffer ref_iv = iv, fast_iv = iv;
+      ref.cbc_decrypt_blocks(ref_iv.data(), ct, ref_out.data(), blocks);
+      fast.cbc_decrypt_blocks(fast_iv.data(), ct, fast_out.data(), blocks);
+      ASSERT_EQ(fast_out, ref_out) << blocks << " blocks";
+      ASSERT_EQ(fast_iv, ref_iv) << blocks << " blocks";
+    }
+  }
+}
+
+// aes_cbc_encrypt_chain equals aes_cbc_encrypt over the flattened bytes
+// however the chain is cut: 1-byte segments, odd sizes, and segments that
+// straddle block boundaries.
+TEST(AesKernels, EncryptChainMatchesFlatOverAnySegmentation) {
+  Rng rng(38);
+  const Buffer key = rng.bytes(32);
+  const Buffer iv = rng.bytes(16);
+  const std::vector<std::vector<size_t>> cuts = {
+      {1}, {7, 13}, {15, 17, 33}, {16, 1, 31, 2}, {0, 5, 48, 3}};
+  for (const AesKernel* k : aes_kernels()) {
+    SCOPED_TRACE(k->name);
+    const Aes aes(key, *k);
+    for (size_t len : {0u, 1u, 15u, 16u, 17u, 100u, 1000u}) {
+      const Buffer pt = rng.bytes(len);
+      const Buffer flat = aes_cbc_encrypt(aes, iv, pt);
+      for (const auto& pattern : cuts) {
+        BufChain chain;
+        for (size_t off = 0, i = 0; off < len; ++i) {
+          const size_t n = std::min(len - off, pattern[i % pattern.size()]);
+          chain.append(Buffer(pt.begin() + off, pt.begin() + off + n));
+          off += n;
+        }
+        EXPECT_EQ(aes_cbc_encrypt_chain(aes, iv, chain), flat)
+            << "length " << len << ", first cut " << pattern[0];
+      }
+    }
+  }
+}
+
+// Every kernel rejects corrupt PKCS#7 padding the same way.  Each case
+// fixes the tail of a two-block plaintext, encrypts it raw (no padding
+// added) and decrypts through the padded API.
+TEST(AesKernels, CorruptPaddingRejectedAlike) {
+  struct Case {
+    Buffer tail;
+    bool valid;
+  };
+  const std::vector<Case> cases = {
+      {{0x00}, false},             // pad length 0
+      {{0x11}, false},             // longer than a block
+      {{0xff}, false},
+      {{0x02, 0x03, 0x03}, false}, // one pad byte disagrees
+      {{0x01}, true},
+      {Buffer(16, 0x10), true},    // a whole pad block
+  };
+  Rng rng(39);
+  const Buffer key = rng.bytes(32);
+  const Buffer iv = rng.bytes(16);
+  for (const AesKernel* k : aes_kernels()) {
+    SCOPED_TRACE(k->name);
+    const Aes aes(key, *k);
+    for (const Case& c : cases) {
+      Buffer pt = rng.bytes(32);
+      std::copy(c.tail.begin(), c.tail.end(), pt.end() - c.tail.size());
+      Buffer ct(pt.size());
+      Buffer chain = iv;
+      aes.cbc_encrypt_blocks(chain.data(), pt.data(), ct.data(), 2);
+      if (c.valid) {
+        pt.resize(pt.size() - pt.back());
+        EXPECT_EQ(aes_cbc_decrypt(aes, iv, ct), pt);
+        continue;
+      }
+      try {
+        aes_cbc_decrypt(aes, iv, ct);
+        ADD_FAILURE() << "accepted tail " << to_hex(c.tail);
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "CBC padding corrupt");
+      }
+    }
+  }
 }
 
 // Classic RC4 vectors (Wikipedia / original cypherpunks post).

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "common/rng.hpp"
 #include "crypto/hmac.hpp"
+#include "kernel_list.hpp"
 
 namespace sgfs::crypto {
 namespace {
@@ -33,12 +36,15 @@ TEST(Sha1, TwoBlockMessage) {
 }
 
 TEST(Sha1, MillionAs) {
-  Sha1 h;
   Buffer chunk(1000, 'a');
-  for (int i = 0; i < 1000; ++i) h.update(chunk);
-  auto d = h.finish();
-  EXPECT_EQ(hex_digest(ByteView(d.data(), d.size())),
-            "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  for (const ShaKernel* k : sha_kernels()) {
+    SCOPED_TRACE(k->name);
+    Sha1 h(*k);
+    for (int i = 0; i < 1000; ++i) h.update(chunk);
+    auto d = h.finish();
+    EXPECT_EQ(hex_digest(ByteView(d.data(), d.size())),
+              "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+  }
 }
 
 TEST(Sha1, IncrementalMatchesOneShot) {
@@ -84,15 +90,65 @@ TEST(Sha256, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.finish(), one);
 }
 
-// Boundary sweep: messages near the 64-byte block/padding boundary.
+// Boundary sweep: messages of 'a' near the 64-byte block/padding boundary,
+// on every kernel this CPU has.  Expected digests come from an independent
+// implementation (Python's hashlib).
+struct BoundaryDigests {
+  const char* sha1;
+  const char* sha256;
+};
+
+const std::map<size_t, BoundaryDigests> kBoundaryDigests = {
+    {0,
+     {"da39a3ee5e6b4b0d3255bfef95601890afd80709",
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}},
+    {1,
+     {"86f7e437faa5a7fce15d1ddcb9eaeaea377667b8",
+      "ca978112ca1bbdcafac231b39a23dc4da786eff8147c4e72b9807785afee48bb"}},
+    {54,
+     {"b05d71c64979cb95fa74a33cdb31a40d258ae02e",
+      "a3f01b6939256127582ac8ae9fb47a382a244680806a3f613a118851c1ca1d47"}},
+    {55,
+     {"c1c8bbdc22796e28c0e15163d20899b65621d65a",
+      "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"}},
+    {56,
+     {"c2db330f6083854c99d4b5bfb6e8f29f201be699",
+      "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"}},
+    {57,
+     {"f08f24908d682555111be7ff6f004e78283d989a",
+      "f13b2d724659eb3bf47f2dd6af1accc87b81f09f59f2b75e5c0bed6589dfe8c6"}},
+    {63,
+     {"03f09f5b158a7a8cdad920bddc29b81c18a551f5",
+      "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"}},
+    {64,
+     {"0098ba824b5c16427bd7a1122a5a442a25ec644d",
+      "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"}},
+    {65,
+     {"11655326c708d70319be2610e8a57d9a5b959d3b",
+      "635361c48bb9eab14198e76ea8ab7f1a41685d6ad62aa9146d301d4f17eb0ae0"}},
+    {119,
+     {"ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56",
+      "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"}},
+    {120,
+     {"f34c1488385346a55709ba056ddd08280dd4c6d6",
+      "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"}},
+    {128,
+     {"ad5b3fdbcb526778c2839d2f151ea753995e26a0",
+      "6836cf13bac400e9105071cd6af47084dfacad4e5e302c94bfed24e013afb73e"}},
+};
+
 class ShaBoundaryTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(ShaBoundaryTest, LengthEncodedCorrectly) {
-  // Hash(msg) must differ from Hash(msg + one byte) and incremental must
-  // agree with one-shot at every boundary length.
-  Buffer msg(GetParam(), 0x61);
-  auto a = Sha1::hash(msg);
-  Sha1 inc;
+template <typename H>
+void check_boundary(const ShaKernel& kernel, const Buffer& msg,
+                    const char* expected) {
+  // The digest must match the reference, incremental must agree with
+  // one-shot, and Hash(msg) must differ from Hash(msg + one byte).
+  H one(kernel);
+  one.update(msg);
+  auto a = one.finish();
+  EXPECT_EQ(to_hex(ByteView(a.data(), a.size())), expected);
+  H inc(kernel);
   if (!msg.empty()) {
     inc.update(ByteView(msg.data(), msg.size() / 2));
     inc.update(ByteView(msg.data() + msg.size() / 2,
@@ -101,12 +157,53 @@ TEST_P(ShaBoundaryTest, LengthEncodedCorrectly) {
   EXPECT_EQ(inc.finish(), a);
   Buffer longer = msg;
   longer.push_back(0x61);
-  EXPECT_NE(Sha1::hash(longer), a);
+  H more(kernel);
+  more.update(longer);
+  EXPECT_NE(more.finish(), a);
+}
+
+TEST_P(ShaBoundaryTest, LengthEncodedCorrectly) {
+  Buffer msg(GetParam(), 0x61);
+  const BoundaryDigests& expected = kBoundaryDigests.at(GetParam());
+  for (const ShaKernel* k : sha_kernels()) {
+    SCOPED_TRACE(k->name);
+    check_boundary<Sha1>(*k, msg, expected.sha1);
+    check_boundary<Sha256>(*k, msg, expected.sha256);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Boundaries, ShaBoundaryTest,
                          ::testing::Values(0, 1, 54, 55, 56, 57, 63, 64, 65,
                                            119, 120, 128));
+
+// SHA-NI against the scalar reference on seeded random input: every length
+// 0-4160, so every position of the 0x80 byte and length field against the
+// 64-byte block (55, 56, 63, 64, 65, ...); start offsets 1-15, so no input
+// is 16-byte aligned; and random update() split points, empty ones
+// included, on the SHA-NI side.
+TEST(ShaKernels, ShaNiMatchesScalarRandomized) {
+  const ShaKernel* ni = sha_ni_kernel();
+  if (ni == nullptr) {
+    GTEST_SKIP() << "CPU lacks SHA-NI: the scalar kernel is the only path";
+  }
+  Rng rng(180);
+  const Buffer pool = rng.bytes(4160 + 16);
+  for (size_t len = 0; len <= 4160; ++len) {
+    const ByteView msg(pool.data() + rng.next_range(1, 15), len);
+    Sha1 ref1(kShaScalar), fast1(*ni);
+    Sha256 ref256(kShaScalar), fast256(*ni);
+    ref1.update(msg);
+    ref256.update(msg);
+    for (size_t off = 0; off < len;) {
+      const size_t piece = std::min<size_t>(len - off, rng.next_below(160));
+      fast1.update(msg.subspan(off, piece));
+      fast256.update(msg.subspan(off, piece));
+      off += piece;
+    }
+    ASSERT_EQ(fast1.finish(), ref1.finish()) << "length " << len;
+    ASSERT_EQ(fast256.finish(), ref256.finish()) << "length " << len;
+  }
+}
 
 // RFC 2202 HMAC-SHA1 vectors.
 TEST(HmacSha1, Rfc2202Case1) {
