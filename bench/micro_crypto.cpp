@@ -228,6 +228,26 @@ void BM_RsaEncryptPremaster(benchmark::State& state) {
 }
 BENCHMARK(BM_RsaEncryptPremaster);
 
+void BM_RsaDecryptPremaster(benchmark::State& state) {
+  Rng rng(7);
+  RsaKeyPair kp = rsa_generate(rng, 512);
+  Buffer wire = rsa_encrypt(kp.pub, rng, payload(48));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_decrypt(kp.priv, wire));
+  }
+}
+BENCHMARK(BM_RsaDecryptPremaster);
+
+// One proxy-certificate key pair per delegation; the prime search makes
+// single keys vary, so the row averages over a stream of fresh keys.
+void BM_RsaGenerate512(benchmark::State& state) {
+  Rng rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_generate(rng, 512));
+  }
+}
+BENCHMARK(BM_RsaGenerate512);
+
 // --- session establishment: full handshake vs ticket vs SSO credential ------
 //
 // The three ways a session (re)gains service in the unified lifecycle, as

@@ -1,6 +1,8 @@
 #include "crypto/bignum.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
 
 namespace sgfs::crypto {
@@ -16,9 +18,12 @@ BigInt::BigInt(uint64_t v) {
 
 BigInt BigInt::from_bytes(ByteView be) {
   BigInt out;
-  for (uint8_t b : be) {
-    out = (out << 8) + BigInt(b);
+  out.limbs_.assign((be.size() + 3) / 4, 0);
+  for (size_t i = 0; i < be.size(); ++i) {
+    const size_t pos = be.size() - 1 - i;  // byte significance
+    out.limbs_[pos / 4] |= static_cast<uint32_t>(be[i]) << (8 * (pos % 4));
   }
+  out.trim();
   return out;
 }
 
@@ -261,10 +266,191 @@ BigInt BigInt::operator%(const BigInt& other) const {
   return divmod(*this, other).second;
 }
 
+// Montgomery arithmetic modulo an odd m > 1 over 64-bit words, R = 2^(64n).
+// Values in Montgomery form (x·R mod m) are word arrays of length n; every
+// buffer is fixed-capacity, so multiplying and exponentiating never touch
+// the heap.
+class Montgomery {
+ public:
+  using Word = uint64_t;
+  static constexpr size_t kMaxWords = 64;  // moduli up to 4096 bits
+
+  // m must outlive the context.
+  explicit Montgomery(const BigInt& m)
+      : modulus_(m), n_((m.limbs_.size() + 1) / 2) {
+    if (n_ > kMaxWords) {
+      throw std::length_error("mod_exp modulus exceeds 4096 bits");
+    }
+    pack(m, m_);
+    // Newton iteration for m^-1 mod 2^64: m0 is its own inverse mod 8 and
+    // each step doubles the correct low bits (3, 6, 12, 24, 48, 96).
+    Word inv = m_[0];
+    for (int i = 0; i < 5; ++i) inv *= 2 - m_[0] * inv;
+    m_inv_ = 0 - inv;
+    pack((BigInt(1) << (128 * n_)) % m, r2_);
+    Word unit[kMaxWords] = {1};
+    mul(one_, r2_, unit);  // R^2 · R^-1 = R mod m
+  }
+
+  const Word* one() const { return one_; }
+
+  /// out = x·R mod m (x of any size).
+  void to_mont(Word* out, const BigInt& x) {
+    Word plain[kMaxWords] = {};
+    if (x.limbs_.size() > 2 * n_) {
+      pack(x % modulus_, plain);
+    } else {
+      pack(x, plain);
+      if (!less_than_modulus(plain, 0)) pack(x % modulus_, plain);
+    }
+    mul(out, plain, r2_);
+  }
+
+  /// x for a Montgomery-form a.
+  BigInt from_mont(const Word* a) {
+    Word unit[kMaxWords] = {1};
+    Word plain[kMaxWords] = {};
+    mul(plain, a, unit);
+    return unpack(plain);
+  }
+
+  bool equal(const Word* a, const Word* b) const {
+    return std::equal(a, a + n_, b);
+  }
+
+  /// out = a·b·R^-1 mod m by CIOS (coarsely integrated operand scanning);
+  /// a, b < m.  out may alias a or b.
+  void mul(Word* out, const Word* a, const Word* b) {
+    using u128 = unsigned __int128;
+    Word* t = t_;
+    std::fill_n(t, n_ + 2, Word{0});
+    for (size_t i = 0; i < n_; ++i) {
+      const Word bi = b[i];
+      u128 c = 0;
+      for (size_t j = 0; j < n_; ++j) {
+        c += static_cast<u128>(a[j]) * bi + t[j];
+        t[j] = static_cast<Word>(c);
+        c >>= 64;
+      }
+      c += t[n_];
+      t[n_] = static_cast<Word>(c);
+      t[n_ + 1] = static_cast<Word>(c >> 64);
+      // Add q·m with q chosen so the low word cancels, then shift a word.
+      const Word q = t[0] * m_inv_;
+      c = (static_cast<u128>(q) * m_[0] + t[0]) >> 64;
+      for (size_t j = 1; j < n_; ++j) {
+        c += static_cast<u128>(q) * m_[j] + t[j];
+        t[j - 1] = static_cast<Word>(c);
+        c >>= 64;
+      }
+      c += t[n_];
+      t[n_ - 1] = static_cast<Word>(c);
+      t[n_] = t[n_ + 1] + static_cast<Word>(c >> 64);
+    }
+    // t < 2m: one conditional subtraction brings it into [0, m).
+    if (less_than_modulus(t, t[n_])) {
+      std::copy_n(t, n_, out);
+      return;
+    }
+    Word borrow = 0;
+    for (size_t j = 0; j < n_; ++j) {
+      const u128 d = static_cast<u128>(t[j]) - m_[j] - borrow;
+      out[j] = static_cast<Word>(d);
+      borrow = static_cast<Word>(d >> 64) & 1;
+    }
+  }
+
+  /// out = base^e in Montgomery form, base in Montgomery form.  Left-to-
+  /// right sliding window over the odd powers base^1, base^3, ...
+  void exp(Word* out, const Word* base, const BigInt& e) {
+    const size_t bits = e.bit_length();
+    if (bits == 0) {
+      std::copy_n(one_, n_, out);
+      return;
+    }
+    const size_t w = bits > 239 ? 5 : bits > 79 ? 4 : bits > 23 ? 3 : 1;
+    Word table[size_t{1} << 4][kMaxWords] = {};  // table[k] = base^(2k+1)
+    std::copy_n(base, n_, table[0]);
+    if (w > 1) {
+      Word sq[kMaxWords] = {};
+      mul(sq, base, base);
+      for (size_t k = 1; k < (size_t{1} << (w - 1)); ++k) {
+        mul(table[k], table[k - 1], sq);
+      }
+    }
+    Word acc[kMaxWords] = {};
+    bool started = false;
+    for (size_t i = bits; i > 0;) {
+      if (!e.bit(i - 1)) {
+        mul(acc, acc, acc);  // never before the top bit: it is set
+        --i;
+        continue;
+      }
+      // Widest window [lo, i) of at most w bits that ends in a set bit.
+      size_t lo = i > w ? i - w : 0;
+      while (!e.bit(lo)) ++lo;
+      size_t val = 0;
+      for (size_t k = i; k-- > lo;) val = (val << 1) | (e.bit(k) ? 1 : 0);
+      if (started) {
+        for (size_t k = lo; k < i; ++k) mul(acc, acc, acc);
+        mul(acc, acc, table[val >> 1]);
+      } else {
+        std::copy_n(table[val >> 1], n_, acc);
+        started = true;
+      }
+      i = lo;
+    }
+    std::copy_n(acc, n_, out);
+  }
+
+ private:
+  // Little-endian 32-bit limbs into n_ zero-extended 64-bit words.
+  void pack(const BigInt& x, Word* out) const {
+    std::fill_n(out, n_, Word{0});
+    for (size_t i = 0; i < x.limbs_.size(); ++i) {
+      out[i / 2] |= static_cast<Word>(x.limbs_[i]) << (32 * (i % 2));
+    }
+  }
+
+  BigInt unpack(const Word* a) const {
+    BigInt out;
+    out.limbs_.resize(2 * n_);
+    for (size_t i = 0; i < 2 * n_; ++i) {
+      out.limbs_[i] = static_cast<uint32_t>(a[i / 2] >> (32 * (i % 2)));
+    }
+    out.trim();
+    return out;
+  }
+
+  // Is (top : a[n_-1] .. a[0]) < m?
+  bool less_than_modulus(const Word* a, Word top) const {
+    if (top) return false;
+    for (size_t j = n_; j-- > 0;) {
+      if (a[j] != m_[j]) return a[j] < m_[j];
+    }
+    return false;
+  }
+
+  const BigInt& modulus_;
+  size_t n_;
+  Word m_inv_ = 0;  // -m^-1 mod 2^64
+  Word m_[kMaxWords] = {};
+  Word r2_[kMaxWords] = {};   // R^2 mod m
+  Word one_[kMaxWords] = {};  // R mod m
+  Word t_[kMaxWords + 2] = {};  // mul's accumulator; t_[0, n_ + 2) in use
+};
+
 BigInt BigInt::mod_exp(const BigInt& base, const BigInt& exp,
                        const BigInt& m) {
   if (m.is_zero()) throw std::domain_error("mod_exp modulus is zero");
   if (m == BigInt(1)) return {};
+  if (m.is_odd()) {
+    Montgomery mont(m);
+    Montgomery::Word x[Montgomery::kMaxWords] = {};
+    mont.to_mont(x, base);
+    mont.exp(x, x, exp);
+    return mont.from_mont(x);
+  }
   BigInt result(1);
   BigInt b = base % m;
   const size_t bits = exp.bit_length();
@@ -343,32 +529,52 @@ BigInt BigInt::random_below(Rng& rng, const BigInt& bound) {
 }
 
 bool BigInt::is_probable_prime(Rng& rng, int rounds) const {
-  static const uint32_t kSmallPrimes[] = {
+  static constexpr uint32_t kSmallPrimes[] = {
       2,  3,  5,  7,  11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
       59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113};
   if (*this < BigInt(2)) return false;
-  for (uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (*this == bp) return true;
-    if ((*this % bp).is_zero()) return false;
+  // Trial division: one single-limb remainder pass per run of small primes
+  // whose product fits in 32 bits.  The first prime that divides decides:
+  // composite, unless the value is that prime.
+  for (size_t begin = 0; begin < std::size(kSmallPrimes);) {
+    uint64_t product = 1;
+    size_t end = begin;
+    while (end < std::size(kSmallPrimes) &&
+           product * kSmallPrimes[end] <= UINT32_MAX) {
+      product *= kSmallPrimes[end++];
+    }
+    uint64_t rem = 0;
+    for (size_t i = limbs_.size(); i-- > 0;) {
+      rem = ((rem << 32) | limbs_[i]) % product;
+    }
+    for (size_t k = begin; k < end; ++k) {
+      if (rem % kSmallPrimes[k] == 0) {
+        return limbs_.size() == 1 && limbs_[0] == kSmallPrimes[k];
+      }
+    }
+    begin = end;
   }
-  // Write n-1 = d * 2^r.
+  // Odd and above 113 from here.  Write n-1 = d * 2^r.
   const BigInt n_minus_1 = *this - BigInt(1);
-  BigInt d = n_minus_1;
   size_t r = 0;
-  while (!d.is_odd()) {
-    d = d >> 1;
-    ++r;
-  }
+  while (!n_minus_1.bit(r)) ++r;
+  const BigInt d = n_minus_1 >> r;
+  const BigInt witness_span = *this - BigInt(4);
+  // One Montgomery context serves every witness and squaring chain; the
+  // comparisons against 1 and n-1 happen in Montgomery form.
+  Montgomery mont(*this);
+  Montgomery::Word minus_one[Montgomery::kMaxWords] = {};
+  Montgomery::Word x[Montgomery::kMaxWords] = {};
+  mont.to_mont(minus_one, n_minus_1);
   for (int round = 0; round < rounds; ++round) {
-    const BigInt a =
-        BigInt(2) + random_below(rng, *this - BigInt(4));  // [2, n-2]
-    BigInt x = mod_exp(a, d, *this);
-    if (x == BigInt(1) || x == n_minus_1) continue;
+    const BigInt a = BigInt(2) + random_below(rng, witness_span);  // [2, n-2]
+    mont.to_mont(x, a);
+    mont.exp(x, x, d);
+    if (mont.equal(x, mont.one()) || mont.equal(x, minus_one)) continue;
     bool composite = true;
     for (size_t i = 0; i + 1 < r; ++i) {
-      x = (x * x) % *this;
-      if (x == n_minus_1) {
+      mont.mul(x, x, x);
+      if (mont.equal(x, minus_one)) {
         composite = false;
         break;
       }

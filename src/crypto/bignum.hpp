@@ -2,8 +2,15 @@
 //
 // Just enough big-number arithmetic for certificate signing and the
 // SecureChannel key exchange: schoolbook multiply, Knuth Algorithm D
-// division, square-and-multiply modular exponentiation, extended Euclid,
-// and Miller–Rabin prime generation.  All randomness flows through the
+// division, extended Euclid, and Miller–Rabin prime generation.
+//
+// Modular exponentiation by an odd modulus (every RSA modulus and prime)
+// runs in Montgomery form over 64-bit words: a per-call context holds
+// n' = -m^-1 mod 2^64 and R^2 mod m (one division), products use CIOS
+// multiply-reduce in fixed-capacity scratch, and the exponent is scanned
+// left to right with a sliding window of up to 5 bits.  Even moduli keep
+// plain square-and-multiply.  RSA private-key operations build on this
+// with CRT (crypto/rsa.hpp).  All randomness flows through the
 // deterministic sgfs::Rng so tests and simulations reproduce exactly.
 #pragma once
 
@@ -53,7 +60,8 @@ class BigInt {
   static std::pair<BigInt, BigInt> divmod(const BigInt& num,
                                           const BigInt& den);
 
-  /// (base ^ exp) mod m; m must be non-zero.
+  /// (base ^ exp) mod m; m must be non-zero.  Odd moduli are limited to
+  /// 4096 bits (std::length_error beyond).
   static BigInt mod_exp(const BigInt& base, const BigInt& exp,
                         const BigInt& m);
 
@@ -74,6 +82,7 @@ class BigInt {
   static BigInt generate_prime(Rng& rng, size_t bits);
 
  private:
+  friend class Montgomery;
   void trim();
   // Little-endian 32-bit limbs; empty == zero.
   std::vector<uint32_t> limbs_;

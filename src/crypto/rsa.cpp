@@ -27,6 +27,23 @@ std::string RsaPublicKey::fingerprint() const {
   return to_hex(ByteView(d.data(), d.size()));
 }
 
+namespace {
+
+RsaPrivateKey with_crt(BigInt n, BigInt e, BigInt d, BigInt p, BigInt q) {
+  RsaPrivateKey key;
+  key.dp = d % (p - BigInt(1));
+  key.dq = d % (q - BigInt(1));
+  key.qinv = BigInt::mod_inverse(q, p);
+  key.n = std::move(n);
+  key.e = std::move(e);
+  key.d = std::move(d);
+  key.p = std::move(p);
+  key.q = std::move(q);
+  return key;
+}
+
+}  // namespace
+
 RsaKeyPair rsa_generate(Rng& rng, size_t modulus_bits) {
   if (modulus_bits < 256) {
     throw std::invalid_argument("RSA modulus must be >= 256 bits");
@@ -42,9 +59,41 @@ RsaKeyPair rsa_generate(Rng& rng, size_t modulus_bits) {
     BigInt d = BigInt::mod_inverse(e, phi);
     RsaKeyPair kp;
     kp.pub = {n, e};
-    kp.priv = {n, e, d};
+    kp.priv = with_crt(n, e, std::move(d), std::move(p), std::move(q));
     return kp;
   }
+}
+
+RsaPrivateKey rsa_private_from_exponents(const BigInt& n, const BigInt& e,
+                                         const BigInt& d) {
+  // d·e - 1 is a multiple of lcm(p-1, q-1).  Write it as 2^t · r with r
+  // odd; for a base g, the chain g^r, g^2r, ... reaches 1 mod n, and the
+  // step before is a square root of 1 that, half the time or more, is not
+  // ±1 and so splits n through a gcd.  The bases 2..101 stand in for the
+  // standard's random ones, so a key decodes the same way every time.
+  if (!n.is_odd() || n < BigInt(15) || e < BigInt(3) || d.is_zero()) {
+    throw std::invalid_argument("not an RSA private key");
+  }
+  const BigInt k = d * e - BigInt(1);
+  size_t t = 0;
+  while (!k.bit(t)) ++t;
+  const BigInt r = k >> t;
+  const BigInt n_minus_1 = n - BigInt(1);
+  for (uint64_t g = 2; g < 102 && t > 0; ++g) {
+    BigInt y = BigInt::mod_exp(BigInt(g), r, n);
+    if (y == BigInt(1) || y == n_minus_1) continue;
+    for (size_t i = 0; i < t; ++i) {
+      BigInt x = (y * y) % n;
+      if (x == BigInt(1)) {
+        BigInt p = BigInt::gcd(y - BigInt(1), n);
+        BigInt q = n / p;
+        return with_crt(n, e, d, std::move(p), std::move(q));
+      }
+      if (x == n_minus_1) break;
+      y = std::move(x);
+    }
+  }
+  throw std::invalid_argument("not an RSA private key");
 }
 
 namespace {
@@ -75,14 +124,31 @@ Buffer digest_info_sha1(ByteView message) {
   return payload;
 }
 
+// x^d mod n by CRT with Garner recombination.  The result is checked
+// against the public exponent before release: a fault in one half-
+// exponentiation would otherwise hand out a value whose gcd with n
+// factors the modulus (the Bellcore attack).
+BigInt private_op(const RsaPrivateKey& key, const BigInt& x) {
+  if (key.p.is_zero() || key.q.is_zero()) {
+    throw std::invalid_argument("RSA private key lacks its CRT factors");
+  }
+  const BigInt xp = BigInt::mod_exp(x, key.dp, key.p);
+  const BigInt xq = BigInt::mod_exp(x, key.dq, key.q);
+  const BigInt h = ((xp + key.p - xq % key.p) * key.qinv) % key.p;
+  BigInt y = xq + h * key.q;
+  if (BigInt::mod_exp(y, key.e, key.n) != x) {
+    throw std::runtime_error("RSA private-key result failed its check");
+  }
+  return y;
+}
+
 }  // namespace
 
 Buffer rsa_sign_sha1(const RsaPrivateKey& key, ByteView message) {
   const size_t width = key.modulus_bytes();
   Buffer em = pkcs1_pad_type1(digest_info_sha1(message), width);
   BigInt m = BigInt::from_bytes(em);
-  BigInt s = BigInt::mod_exp(m, key.d, key.n);
-  return s.to_bytes_padded(width);
+  return private_op(key, m).to_bytes_padded(width);
 }
 
 bool rsa_verify_sha1(const RsaPublicKey& key, ByteView message,
@@ -133,8 +199,7 @@ Buffer rsa_decrypt(const RsaPrivateKey& key, ByteView ciphertext) {
   }
   BigInt c = BigInt::from_bytes(ciphertext);
   if (c >= key.n) throw std::runtime_error("RSA ciphertext out of range");
-  BigInt m = BigInt::mod_exp(c, key.d, key.n);
-  Buffer em = m.to_bytes_padded(width);
+  Buffer em = private_op(key, c).to_bytes_padded(width);
   if (em.size() < 11 || em[0] != 0x00 || em[1] != 0x02) {
     throw std::runtime_error("RSA padding corrupt");
   }

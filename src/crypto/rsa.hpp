@@ -33,10 +33,18 @@ struct RsaPublicKey {
   std::string fingerprint() const;
 };
 
+/// Private key with its CRT factors.  Every private-key operation runs by
+/// CRT on (p, q, dp, dq, qinv) and checks its result against e before
+/// releasing it; d is kept for serialization.
 struct RsaPrivateKey {
   BigInt n;
   BigInt e;
-  BigInt d;  // private exponent
+  BigInt d;     // private exponent
+  BigInt p;     // n = p * q
+  BigInt q;
+  BigInt dp;    // d mod (p - 1)
+  BigInt dq;    // d mod (q - 1)
+  BigInt qinv;  // q^-1 mod p
 
   size_t modulus_bytes() const { return (n.bit_length() + 7) / 8; }
   RsaPublicKey public_key() const { return {n, e}; }
@@ -51,7 +59,14 @@ struct RsaKeyPair {
 /// Deterministic given the Rng state; e = 65537.
 RsaKeyPair rsa_generate(Rng& rng, size_t modulus_bits = 1024);
 
+/// Rebuilds the CRT form of a private key from (n, e, d): recovers p and
+/// q deterministically (NIST SP 800-56B, Appendix C; fixed bases, no Rng).
+/// Throws std::invalid_argument if (n, e, d) is not an RSA key.
+RsaPrivateKey rsa_private_from_exponents(const BigInt& n, const BigInt& e,
+                                         const BigInt& d);
+
 /// Signs SHA-1(message) with PKCS#1 v1.5 block type 1 padding.
+/// Throws std::runtime_error if the CRT result fails its check against e.
 Buffer rsa_sign_sha1(const RsaPrivateKey& key, ByteView message);
 
 /// Verifies a signature produced by rsa_sign_sha1.
@@ -62,7 +77,8 @@ bool rsa_verify_sha1(const RsaPublicKey& key, ByteView message,
 /// random padding.  Used for the handshake premaster secret.
 Buffer rsa_encrypt(const RsaPublicKey& key, Rng& rng, ByteView message);
 
-/// Decrypts rsa_encrypt output; throws std::runtime_error on bad padding.
+/// Decrypts rsa_encrypt output; throws std::runtime_error on bad padding
+/// or a CRT result that fails its check against e.
 Buffer rsa_decrypt(const RsaPrivateKey& key, ByteView ciphertext);
 
 }  // namespace sgfs::crypto

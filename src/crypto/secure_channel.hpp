@@ -184,9 +184,6 @@ struct SecurityConfig {
   /// timing, so sessions that never resume are bit-identical to the
   /// pre-resumption code.
   bool negotiate = false;
-  /// Back-compat alias for `negotiate` (PR 7's resume-only stream
-  /// listener); either flag routes accept() through the negotiating path.
-  bool resume_only = false;
 
   SecurityConfig() = default;
 };
@@ -199,10 +196,10 @@ class SecureChannel {
       net::StreamPtr stream, const SecurityConfig& config, Rng& rng,
       int64_t now_epoch);
 
-  /// Server side: answers a handshake.  When `config.negotiate` (or the
-  /// legacy `config.resume_only`) is set the listener dispatches on the
-  /// first message's magic: abbreviated resumed handshake, or a full one
-  /// as fallback (e.g. after the server restarted and forgot the ticket).
+  /// Server side: answers a handshake.  When `config.negotiate` is set
+  /// the listener dispatches on the first message's magic: abbreviated
+  /// resumed handshake, or a full one as fallback (e.g. after the server
+  /// restarted and forgot the ticket).
   static sim::Task<std::unique_ptr<SecureChannel>> accept(
       net::StreamPtr stream, const SecurityConfig& config, Rng& rng,
       int64_t now_epoch);

@@ -53,11 +53,13 @@ crypto::Credential credential_from_field(const std::string& field) {
   for (uint32_t i = 0; i < n; ++i) {
     chain.push_back(crypto::Certificate::deserialize(dec.get_opaque()));
   }
-  crypto::RsaPrivateKey key;
-  key.n = crypto::BigInt::from_bytes(dec.get_opaque());
-  key.e = crypto::BigInt::from_bytes(dec.get_opaque());
-  key.d = crypto::BigInt::from_bytes(dec.get_opaque());
-  crypto::Credential cred(chain.front(), key,
+  // The wire carries (n, e, d) only; the CRT factors are recovered here.
+  const auto n_val = crypto::BigInt::from_bytes(dec.get_opaque());
+  const auto e_val = crypto::BigInt::from_bytes(dec.get_opaque());
+  const auto d_val = crypto::BigInt::from_bytes(dec.get_opaque());
+  crypto::Credential cred(chain.front(),
+                          crypto::rsa_private_from_exponents(n_val, e_val,
+                                                             d_val),
                           std::vector<crypto::Certificate>(
                               chain.begin() + 1, chain.end()));
   return cred;

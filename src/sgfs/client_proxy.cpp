@@ -17,6 +17,28 @@ using nfs::Fh;
 using nfs::Proc3;
 using nfs::Status;
 
+namespace {
+
+// Raises a server-reported size to `floor`; true if it moved.
+bool raise_size(vfs::Attributes& attrs, uint64_t floor) {
+  if (attrs.size >= floor) return false;
+  attrs.size = floor;
+  return true;
+}
+
+bool raise_size(std::optional<vfs::Attributes>& attrs, uint64_t floor) {
+  return attrs && raise_size(*attrs, floor);
+}
+
+template <class Res>
+BufChain encode_res(const Res& res) {
+  xdr::Encoder enc;
+  res.encode(enc);
+  return enc.take();
+}
+
+}  // namespace
+
 ClientProxy::~ClientProxy() = default;
 
 ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
@@ -783,7 +805,18 @@ bool ClientProxy::attrs_fresh(const AttrEntry& entry) const {
 void ClientProxy::remember(const Fh& fh,
                            const std::optional<vfs::Attributes>& attrs) {
   if (!attrs || !config_.cache.cache_attrs) return;
-  attrs_[fh.fileid] = AttrEntry{*attrs, host_.engine().now()};
+  AttrEntry& entry = attrs_[fh.fileid] =
+      AttrEntry{*attrs, host_.engine().now()};
+  entry.attrs.size = std::max(entry.attrs.size, dirty_extent(fh.fileid));
+}
+
+uint64_t ClientProxy::dirty_extent(uint64_t fileid) const {
+  auto ds = dirty_.find(fileid);
+  if (ds == dirty_.end() || ds->second.empty()) return 0;
+  const uint64_t last = *ds->second.rbegin();
+  auto it = blocks_.find({fileid, last});
+  const uint64_t valid = it != blocks_.end() ? it->second.valid : 0;
+  return last * config_.cache.block_size + valid;
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
@@ -1268,6 +1301,9 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       xdr::Decoder rdec(reply);
       auto res = nfs::GetattrRes::decode(rdec);
       if (res.status == Status::kOk) {
+        if (raise_size(res.attrs, dirty_extent(a.fh.fileid))) {
+          reply = encode_res(res);
+        }
         remember(a.fh, res.attrs);
       }
       co_return reply;
@@ -1293,6 +1329,10 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
       auto res = nfs::LookupRes::decode(rdec);
+      if (res.status == Status::kOk &&
+          raise_size(res.attrs, dirty_extent(res.fh.fileid))) {
+        reply = encode_res(res);
+      }
       if (res.status == Status::kOk && config_.cache.cache_names) {
         name_put(a.dir.fileid, a.name, res);
         remember(res.fh, res.attrs);
@@ -1319,6 +1359,9 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       xdr::Decoder rdec(reply);
       auto res = nfs::AccessRes::decode(rdec);
       if (res.status == Status::kOk) {
+        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
+          reply = encode_res(res);
+        }
         access_cache_[a.fh.fileid] = {a.access, res.access};
         remember(a.fh, res.post_attrs);
       }
@@ -1425,6 +1468,10 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
       auto res = nfs::ReadRes::decode(rdec);
+      if (res.status == Status::kOk &&
+          raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
+        reply = encode_res(res);
+      }
       if (res.status == Status::kOk && aligned) {
         remember(a.fh, res.post_attrs);
         if (!config_.cache.encryption) {
@@ -1552,7 +1599,12 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       BufChain reply = co_await forward(ctx, args);
       xdr::Decoder rdec(reply);
       auto res = nfs::WriteRes::decode(rdec);
-      if (res.status == Status::kOk) remember(a.fh, res.post_attrs);
+      if (res.status == Status::kOk) {
+        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
+          reply = encode_res(res);
+        }
+        remember(a.fh, res.post_attrs);
+      }
       co_return reply;
     }
 
@@ -1598,6 +1650,11 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       // A create invalidates the cached listing but not sibling names.
       dir_cache_.erase(dir.fileid);
       if (res.status == Status::kOk) {
+        // A non-exclusive create of a file this cache holds dirty blocks
+        // of answers with the server's (older, shorter) attributes.
+        if (raise_size(res.attrs, dirty_extent(res.fh.fileid))) {
+          reply = encode_res(res);
+        }
         remember(res.fh, res.attrs);
         remember(dir, res.dir_attrs);
         if (config_.cache.cache_names) {
@@ -1683,7 +1740,19 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
           if (ds != dirty_.end() && ds->second.empty()) {
             dirty_.erase(ds);
           }
+          // The boundary block keeps only the bytes below the new size, so
+          // neither its write-back nor dirty_extent() resurrects the tail.
+          if (keep_blocks > 0) {
+            auto edge = blocks_.find({a.fh.fileid, keep_blocks - 1});
+            if (edge != blocks_.end()) {
+              edge->second.valid = static_cast<uint32_t>(std::min<uint64_t>(
+                  edge->second.valid, *a.sattr.size - (keep_blocks - 1) * bs));
+            }
+          }
           assert(cache_accounting_consistent());
+        }
+        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
+          reply = encode_res(res);
         }
         remember(a.fh, res.post_attrs);
       }

@@ -200,6 +200,9 @@ class ClientProxy : public rpc::RpcProgram,
   bool attrs_fresh(const AttrEntry& entry) const;
   void remember(const nfs::Fh& fh,
                 const std::optional<vfs::Attributes>& attrs);
+  /// End of the file's last dirty block (0 with nothing dirty): absorbed
+  /// writes the server has not seen, so a size it reports is at least this.
+  uint64_t dirty_extent(uint64_t fileid) const;
   void drop_file(uint64_t fileid);
   void invalidate_dir(uint64_t dir_fileid);
   Block& put_block(uint64_t fileid, uint64_t block);

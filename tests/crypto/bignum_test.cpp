@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sgfs::crypto {
 namespace {
 
@@ -113,6 +115,12 @@ TEST(BigInt, ModExpEdgeCases) {
   EXPECT_EQ(BigInt::mod_exp(BigInt(5), BigInt(3), BigInt(1)), BigInt(0));
   EXPECT_EQ(BigInt::mod_exp(BigInt(2), BigInt(10), BigInt(1000)),
             BigInt(24));
+  // Odd moduli run in fixed-capacity scratch: 4096 bits fit, wider throws.
+  const BigInt wide = (BigInt(1) << 4095) + BigInt(1);
+  EXPECT_EQ(BigInt::mod_exp(BigInt(3), BigInt(2), wide), BigInt(9));
+  EXPECT_THROW(BigInt::mod_exp(BigInt(3), BigInt(2),
+                               (BigInt(1) << 4096) + BigInt(1)),
+               std::length_error);
 }
 
 TEST(BigInt, Gcd) {
@@ -187,6 +195,124 @@ TEST(BigInt, HexRoundTrip) {
   for (const char* s : samples) {
     EXPECT_EQ(BigInt::from_hex(s).to_hex(), s);
   }
+}
+
+// Reference square-and-multiply from the public operators only, so the
+// Montgomery path in mod_exp is checked against code it does not share.
+BigInt reference_mod_exp(const BigInt& base, const BigInt& exp,
+                         const BigInt& m) {
+  BigInt result = BigInt(1) % m;
+  BigInt b = base % m;
+  for (size_t i = 0; i < exp.bit_length(); ++i) {
+    if (exp.bit(i)) result = (result * b) % m;
+    b = (b * b) % m;
+  }
+  return result;
+}
+
+TEST(BigInt, ModExpMatchesReferenceRandomized) {
+  Rng rng(20);
+  for (size_t bits : {64u, 65u, 127u, 128u, 191u, 256u, 512u, 1024u,
+                      2048u}) {
+    SCOPED_TRACE(bits);
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (!m.is_odd()) m = m + BigInt(1);
+    const BigInt m_minus_1 = m - BigInt(1);
+    std::vector<BigInt> bases = {BigInt(0), BigInt(1), BigInt(2), m_minus_1,
+                                 m, m + BigInt(5),
+                                 BigInt::random_bits(rng, bits + 70),
+                                 BigInt::random_below(rng, m)};
+    std::vector<BigInt> exps = {BigInt(0), BigInt(1), BigInt(2),
+                                BigInt(65537), m_minus_1,
+                                BigInt::random_bits(rng, 23),
+                                BigInt::random_bits(rng, 80)};
+    if (bits <= 512) {
+      exps.push_back(BigInt::random_bits(rng, bits / 2));
+      exps.push_back(BigInt::random_bits(rng, 2 * bits));
+    }
+    for (const BigInt& base : bases) {
+      // The widest moduli check every base against m-1 only (the
+      // reference is slow there); the rest cross every base with every
+      // exponent shape.
+      const auto& es = bits >= 1024 ? std::vector<BigInt>{m_minus_1} : exps;
+      for (const BigInt& e : es) {
+        ASSERT_EQ(BigInt::mod_exp(base, e, m), reference_mod_exp(base, e, m))
+            << "base " << base.to_hex() << " exp " << e.to_hex();
+      }
+    }
+    for (const BigInt& e : exps) {
+      const BigInt base = BigInt::random_below(rng, m);
+      ASSERT_EQ(BigInt::mod_exp(base, e, m), reference_mod_exp(base, e, m))
+          << "exp " << e.to_hex();
+    }
+  }
+}
+
+TEST(BigInt, ModExpUnitAndEvenModuli) {
+  Rng rng(21);
+  for (const BigInt& base : {BigInt(0), BigInt(7), BigInt::random_bits(rng, 300)}) {
+    EXPECT_TRUE(BigInt::mod_exp(base, BigInt(0), BigInt(1)).is_zero());
+    EXPECT_TRUE(BigInt::mod_exp(base, BigInt(12345), BigInt(1)).is_zero());
+  }
+  std::vector<BigInt> moduli = {BigInt(2), BigInt(4), BigInt(1000),
+                                BigInt(1) << 64, (BigInt(1) << 64) + BigInt(2)};
+  for (size_t bits : {100u, 512u}) {
+    BigInt m = BigInt::random_bits(rng, bits);
+    if (m.is_odd()) m = m + BigInt(1);
+    moduli.push_back(m);
+  }
+  for (const BigInt& m : moduli) {
+    for (int i = 0; i < 4; ++i) {
+      const BigInt base = BigInt::random_bits(rng, m.bit_length() + 8);
+      const BigInt e = BigInt::random_bits(rng, 1 + 40 * i);
+      EXPECT_EQ(BigInt::mod_exp(base, e, m), reference_mod_exp(base, e, m))
+          << "m " << m.to_hex();
+    }
+  }
+}
+
+TEST(BigInt, FromBytesMatchesShiftAndAdd) {
+  Rng rng(22);
+  for (size_t len = 0; len < 70; ++len) {
+    Buffer raw = rng.bytes(len);
+    if (len > 2) raw[0] = 0;  // leading zeros are stripped
+    BigInt want;
+    for (uint8_t b : raw) want = (want << 8) + BigInt(b);
+    const BigInt got = BigInt::from_bytes(raw);
+    EXPECT_EQ(got, want) << "length " << len;
+    EXPECT_EQ(got.to_bytes(), want.to_bytes());
+  }
+}
+
+// Every value below the bound against a sieve: exercises the batched
+// small-prime trial division (equal to a small prime, divisible by one,
+// products of primes above 113) and Miller–Rabin on small moduli.  A value
+// with a prime factor up to 113 is decided by trial division and must not
+// draw from the Rng: key generation's byte-identity depends on that.
+TEST(BigInt, PrimalityMatchesSieveBelow20000) {
+  constexpr uint32_t kBound = 20000;
+  std::vector<uint32_t> least_factor(kBound, 0);
+  for (uint32_t i = 2; i < kBound; ++i) {
+    if (least_factor[i]) continue;
+    for (uint32_t j = i; j < kBound; j += i) {
+      if (!least_factor[j]) least_factor[j] = i;
+    }
+  }
+  Rng rng(23);
+  for (uint32_t v = 0; v < kBound; ++v) {
+    Rng before = rng;
+    const bool prime = v >= 2 && least_factor[v] == v;
+    ASSERT_EQ(BigInt(v).is_probable_prime(rng), prime) << v;
+    if (v >= 2 && least_factor[v] <= 113) {
+      ASSERT_EQ(before.next_u64(), Rng(rng).next_u64()) << v;
+    }
+  }
+  // A large prime times a small one, and a product of two large primes.
+  const BigInt m127 = (BigInt(1) << 127) - BigInt(1);
+  const BigInt m61 = (BigInt(1) << 61) - BigInt(1);
+  EXPECT_FALSE((m127 * BigInt(113)).is_probable_prime(rng));
+  EXPECT_FALSE((m127 * m61).is_probable_prime(rng));
+  EXPECT_TRUE(m61.is_probable_prime(rng));
 }
 
 }  // namespace

@@ -90,6 +90,22 @@ TEST(Envelope, CredentialFieldRoundTrip) {
   EXPECT_EQ(back.private_key.d, pki().alice.private_key.d);
 }
 
+// The wire carries (n, e, d) only; the decoded key recovers its CRT factors
+// and signs exactly as the original, and re-encodes to the same bytes.
+TEST(Envelope, CredentialFieldRecoversCrtKey) {
+  for (const crypto::Credential* cred : {&pki().alice, &pki().dss}) {
+    const std::string field = credential_to_field(*cred);
+    const crypto::Credential back = credential_from_field(field);
+    const crypto::RsaPrivateKey& k = back.private_key;
+    EXPECT_EQ(k.p * k.q, k.n);
+    EXPECT_EQ(k.n, cred->private_key.n);
+    const Buffer msg = to_bytes("delegated");
+    EXPECT_EQ(crypto::rsa_sign_sha1(k, msg),
+              crypto::rsa_sign_sha1(cred->private_key, msg));
+    EXPECT_EQ(credential_to_field(back), field);
+  }
+}
+
 // --- full control-plane test ---------------------------------------------------
 
 struct ServiceRig {

@@ -69,7 +69,7 @@ struct Fixture {
     server_cfg.credential = pki().host;
     server_cfg.resumption = std::make_shared<ResumptionCache>();
     resume_cfg = server_cfg;
-    resume_cfg.resume_only = true;
+    resume_cfg.negotiate = true;
     main_listener = net.listen(*server, 4433);
     stream_listener = net.listen(*server, 4434);
     // Detached accept loops, like the proxy's two RpcServers.

@@ -226,5 +226,72 @@ TEST(TestbedFaults, PostmarkRecoversUnderLossAndCorruption) {
   }
 }
 
+// An O_APPEND write must land at the end of a file even while the earlier
+// bytes sit only in the client proxy's write-back disk cache, and a later
+// truncate inside the last block must stick.  NFSv3 and sgfs without the
+// disk cache are the references.
+TEST(TestbedAppend, AppendAfterCachedWriteLandsAtEnd) {
+  struct Stack {
+    const char* name;
+    SetupKind kind;
+    bool disk_cache;
+  };
+  for (const Stack stack : {Stack{"sgfs+disk-cache", SetupKind::kSgfs, true},
+                            Stack{"sgfs", SetupKind::kSgfs, false},
+                            Stack{"nfs-v3", SetupKind::kNfsV3, false}}) {
+    for (const size_t first : {size_t{32768}, size_t{5000}}) {
+      SCOPED_TRACE(std::string(stack.name) + " first=" +
+                   std::to_string(first));
+      TestbedOptions opts;
+      opts.kind = stack.kind;
+      opts.proxy_disk_cache = stack.disk_cache;
+      opts.wan_rtt = 20 * sim::kMillisecond;
+      Testbed tb(opts);
+      Rng rng(first);
+      const Buffer head = rng.bytes(first);
+      const Buffer tail = rng.bytes(3000);
+      const uint64_t cut = first + 1000;
+      Buffer got, got_cut;
+      tb.engine().run_task([](Testbed& tb, const Buffer& head,
+                              const Buffer& tail, uint64_t cut, Buffer* got,
+                              Buffer* got_cut) -> sim::Task<void> {
+        auto mp = co_await tb.mount();
+        auto read_all = [](std::shared_ptr<nfs::MountPoint> mp,
+                           Buffer* out) -> sim::Task<void> {
+          const int fd = co_await mp->open("f", nfs::kRdOnly);
+          Buffer buf(64 * 1024);
+          for (;;) {
+            const size_t n = co_await mp->read(fd, buf);
+            if (n == 0) break;
+            out->insert(out->end(), buf.begin(),
+                        buf.begin() + static_cast<std::ptrdiff_t>(n));
+          }
+          co_await mp->close(fd);
+        };
+        int fd = co_await mp->open("f", nfs::kWrOnly | nfs::kCreate |
+                                            nfs::kTrunc);
+        co_await mp->write(fd, head);
+        co_await mp->close(fd);
+        fd = co_await mp->open("f", nfs::kWrOnly | nfs::kCreate |
+                                        nfs::kAppend);
+        co_await mp->write(fd, tail);
+        co_await mp->close(fd);
+        co_await read_all(mp, got);
+        co_await mp->truncate("f", cut);
+        co_await read_all(mp, got_cut);
+      }(tb, head, tail, cut, &got, &got_cut));
+      EXPECT_TRUE(tb.engine().errors().empty())
+          << (tb.engine().errors().empty() ? "" : tb.engine().errors()[0]);
+      Buffer want = head;
+      want.insert(want.end(), tail.begin(), tail.end());
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_TRUE(got == want) << "file content differs";
+      want.resize(cut);
+      ASSERT_EQ(got_cut.size(), want.size());
+      EXPECT_TRUE(got_cut == want) << "truncated content differs";
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sgfs::workloads
