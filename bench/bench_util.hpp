@@ -86,21 +86,6 @@ class JsonReport {
     return cur;
   }
 
-  /// Counter/gauge snapshot of a registry, for attaching to a row before
-  /// the simulation that owns the registry is torn down.
-  static std::map<std::string, double> snapshot(
-      const obs::MetricsRegistry& reg) {
-    std::map<std::string, double> out;
-    for (const auto& [name, c] : reg.counters()) {
-      out[name] = static_cast<double>(c.value());
-    }
-    for (const auto& [name, g] : reg.gauges()) {
-      out[name] = static_cast<double>(g.value());
-      out[name + ".max"] = static_cast<double>(g.max());
-    }
-    return out;
-  }
-
   void add_row(const std::string& name, double seconds, double stddev = 0,
                std::map<std::string, double> metrics = {},
                std::string note = "") {

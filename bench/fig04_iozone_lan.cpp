@@ -45,7 +45,7 @@ double run_one(TestbedOptions opts, uint64_t file_bytes, uint64_t client_mem,
     dump_trace(flags, tb.engine(), trace_tag);
   }
   if (json_metrics != nullptr) {
-    *json_metrics = JsonReport::snapshot(tb.engine().metrics());
+    *json_metrics = obs::scalar_values(tb.engine().metrics());
   }
   return total;
 }

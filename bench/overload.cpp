@@ -236,7 +236,7 @@ RunOut run_once(bool admission, ClientCfg ccfg, int sessions,
   out.goodput = static_cast<double>(out.ok) / sim::to_seconds(window);
   out.p50_ms = percentile(out.lat_ns, 0.50) / 1e6;
   out.p99_ms = percentile(out.lat_ns, 0.99) / 1e6;
-  out.metrics = JsonReport::snapshot(eng.metrics());
+  out.metrics = obs::scalar_values(eng.metrics());
   out.metrics["overload.offered"] = static_cast<double>(out.offered);
   out.metrics["overload.ok"] = static_cast<double>(out.ok);
   out.metrics["overload.giveups"] = static_cast<double>(out.giveups);

@@ -88,7 +88,7 @@ RunOut run_bulk(const TestbedOptions& opt, uint64_t bytes) {
     std::exit(1);
   }
   out.end_time = tb.engine().now();
-  out.metrics = JsonReport::snapshot(tb.engine().metrics());
+  out.metrics = obs::scalar_values(tb.engine().metrics());
   return out;
 }
 

@@ -227,34 +227,28 @@ sim::Task<void> drive(Storm& s, std::vector<Client>& clients,
 }  // namespace
 
 uint64_t ConnstormResult::fingerprint() const {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(ok);
-  mix(busy);
-  mix(giveups);
-  mix(errors);
-  mix(establishes);
-  mix(reconnects);
-  mix(full_handshakes);
-  mix(resumed_sessions);
-  mix(fallback_handshakes);
-  mix(fss_signatures);
-  mix(fss_cache_hits);
-  mix(sso_authorizations);
-  mix(static_cast<uint64_t>(bucket_ok.size()));
-  for (uint64_t b : bucket_ok) mix(b);
-  mix(static_cast<uint64_t>(sub_ok.size()));
-  for (uint64_t b : sub_ok) mix(b);
-  mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  mix(events);
-  mix(actors);
-  mix(sim_errors);
-  return h;
+  obs::Fingerprint h;
+  h.mix(ok);
+  h.mix(busy);
+  h.mix(giveups);
+  h.mix(errors);
+  h.mix(establishes);
+  h.mix(reconnects);
+  h.mix(full_handshakes);
+  h.mix(resumed_sessions);
+  h.mix(fallback_handshakes);
+  h.mix(fss_signatures);
+  h.mix(fss_cache_hits);
+  h.mix(sso_authorizations);
+  h.mix(static_cast<uint64_t>(bucket_ok.size()));
+  for (uint64_t b : bucket_ok) h.mix(b);
+  h.mix(static_cast<uint64_t>(sub_ok.size()));
+  for (uint64_t b : sub_ok) h.mix(b);
+  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
+  h.mix(events);
+  h.mix(actors);
+  h.mix(sim_errors);
+  return h.value();
 }
 
 double ConnstormResult::mean_goodput(size_t from, size_t to) const {
@@ -396,13 +390,7 @@ ConnstormResult run_connstorm(const ConnstormOptions& opt) {
   res.events = eng.events_processed();
   res.actors = eng.actors_spawned();
   res.sim_errors = eng.errors().size();
-  for (const auto& [name, c] : eng.metrics().counters()) {
-    res.metrics[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, g] : eng.metrics().gauges()) {
-    res.metrics[name] = static_cast<double>(g.value());
-    res.metrics[name + ".max"] = static_cast<double>(g.max());
-  }
+  res.metrics = obs::scalar_values(eng.metrics());
   res.full_handshakes = static_cast<uint64_t>(
       res.metrics.count("sgfs.session.full_handshakes")
           ? res.metrics.at("sgfs.session.full_handshakes")

@@ -89,36 +89,16 @@ sim::Task<void> client_actor(Crowd& c, net::Host& host, sim::SimDur phase) {
   ++c.done;
 }
 
-/// The controller publishes the owner-signed catalog through the FSS; the
-/// FSS checks the controller's envelope AND the owner's signature before
-/// storing (it never re-signs — clients verify the embedded signature).
-sim::Task<void> publish_catalog(net::Host& ctrl, const net::Address& fss,
-                                const crypto::Credential& controller,
-                                const std::string& signed_hex) {
-  services::Envelope env = services::sign_envelope(
-      "PutReplicaCatalog", {{"catalog", signed_hex}}, controller,
-      static_cast<int64_t>(ctrl.engine().now() / sim::kSecond));
-  auto client = co_await rpc::clnt_create(
-      ctrl, fss, services::kFssProgram, services::kFssVersion);
-  BufChain reply = co_await client->call(
-      static_cast<uint32_t>(services::ServiceProc::kPutReplicaCatalog),
-      env.serialize());
-  client->close();
-  Buffer scratch;
-  services::Envelope back =
-      services::Envelope::deserialize(linearize(reply, scratch));
-  if (back.action != "PutReplicaCatalogResponse") {
-    throw std::runtime_error("replica catalog publication rejected: " +
-                             back.action);
-  }
-}
-
 sim::Task<void> drive(Crowd& c, std::vector<net::Host*>& client_hosts,
                       net::Host& ctrl, const net::Address& fss_addr,
                       const crypto::Credential& controller_cred,
                       const std::string& catalog_hex) {
   if (c.opt.use_replicas) {
-    co_await publish_catalog(ctrl, fss_addr, controller_cred, catalog_hex);
+    // The FSS checks the controller's envelope AND the owner's signature
+    // before storing (it never re-signs: clients verify the embedded one).
+    co_await services::put_signed(ctrl, fss_addr, controller_cred,
+                                  services::ServiceProc::kPutReplicaCatalog,
+                                  "PutReplicaCatalog", "catalog", catalog_hex);
   }
   const size_t n = client_hosts.size();
   const sim::SimDur ramp = sim::from_seconds(c.opt.ramp_s);
@@ -135,36 +115,30 @@ sim::Task<void> drive(Crowd& c, std::vector<net::Host*>& client_hosts,
 }  // namespace
 
 uint64_t FlashcrowdResult::fingerprint() const {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(reads_ok);
-  mix(read_errors);
-  mix(bytes_read);
-  mix(corrupt_bytes);
-  mix(clients_done);
-  mix(replica_blocks);
-  mix(origin_reads);
-  mix(verify_failures);
-  mix(timeouts);
-  mix(fetch_errors);
-  mix(blacklists);
-  mix(probes);
-  mix(hedged);
-  mix(hedge_wins);
-  mix(degraded);
-  mix(catalog_fetches);
-  mix(stale_catalogs);
-  mix(byzantine_armed);
-  mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  mix(events);
-  mix(actors);
-  mix(sim_errors);
-  return h;
+  obs::Fingerprint h;
+  h.mix(reads_ok);
+  h.mix(read_errors);
+  h.mix(bytes_read);
+  h.mix(corrupt_bytes);
+  h.mix(clients_done);
+  h.mix(replica_blocks);
+  h.mix(origin_reads);
+  h.mix(verify_failures);
+  h.mix(timeouts);
+  h.mix(fetch_errors);
+  h.mix(blacklists);
+  h.mix(probes);
+  h.mix(hedged);
+  h.mix(hedge_wins);
+  h.mix(degraded);
+  h.mix(catalog_fetches);
+  h.mix(stale_catalogs);
+  h.mix(byzantine_armed);
+  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
+  h.mix(events);
+  h.mix(actors);
+  h.mix(sim_errors);
+  return h.value();
 }
 
 FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
@@ -384,13 +358,7 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   res.events = eng.events_processed();
   res.actors = eng.actors_spawned();
   res.sim_errors = eng.errors().size();
-  for (const auto& [name, c] : eng.metrics().counters()) {
-    res.metrics[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, g] : eng.metrics().gauges()) {
-    res.metrics[name] = static_cast<double>(g.value());
-    res.metrics[name + ".max"] = static_cast<double>(g.max());
-  }
+  res.metrics = obs::scalar_values(eng.metrics());
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

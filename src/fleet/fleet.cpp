@@ -126,22 +126,9 @@ struct Fleet {
 sim::Task<void> publish_map(net::Host& ctrl, const net::Address& fss,
                             const crypto::Credential& controller,
                             const core::ShardMap& map) {
-  services::Envelope env = services::sign_envelope(
-      "PutShardMap", {{"map", map.to_string()}}, controller,
-      static_cast<int64_t>(ctrl.engine().now() / sim::kSecond));
-  auto client = co_await rpc::clnt_create(
-      ctrl, fss, services::kFssProgram, services::kFssVersion);
-  BufChain reply = co_await client->call(
-      static_cast<uint32_t>(services::ServiceProc::kPutShardMap),
-      env.serialize());
-  client->close();
-  Buffer scratch;
-  services::Envelope back =
-      services::Envelope::deserialize(linearize(reply, scratch));
-  if (back.action != "PutShardMapResponse") {
-    throw std::runtime_error("shard map publication rejected: " +
-                             back.action);
-  }
+  co_await services::put_signed(ctrl, fss, controller,
+                                services::ServiceProc::kPutShardMap,
+                                "PutShardMap", "map", map.to_string());
 }
 
 /// One client session: closed-loop think-time pacing, discovery-driven
@@ -368,31 +355,25 @@ sim::Task<void> drive(Fleet& f, std::vector<net::Host*>& session_hosts,
 }  // namespace
 
 uint64_t FleetResult::fingerprint() const {
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(ok);
-  mix(busy);
-  mix(giveups);
-  mix(errors);
-  mix(establishes);
-  mix(reroutes);
-  mix(discovery_fetches);
-  mix(discovery_failures);
-  mix(final_epoch);
-  mix(static_cast<uint64_t>(bucket_ok.size()));
-  for (uint64_t b : bucket_ok) mix(b);
-  mix(static_cast<uint64_t>(lat_ns.size()));
-  for (uint64_t l : lat_ns) mix(l);
-  mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  mix(events);
-  mix(actors);
-  mix(sim_errors);
-  return h;
+  obs::Fingerprint h;
+  h.mix(ok);
+  h.mix(busy);
+  h.mix(giveups);
+  h.mix(errors);
+  h.mix(establishes);
+  h.mix(reroutes);
+  h.mix(discovery_fetches);
+  h.mix(discovery_failures);
+  h.mix(final_epoch);
+  h.mix(static_cast<uint64_t>(bucket_ok.size()));
+  for (uint64_t b : bucket_ok) h.mix(b);
+  h.mix(static_cast<uint64_t>(lat_ns.size()));
+  for (uint64_t l : lat_ns) h.mix(l);
+  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
+  h.mix(events);
+  h.mix(actors);
+  h.mix(sim_errors);
+  return h.value();
 }
 
 double FleetResult::percentile_ms(double q) const {
@@ -549,13 +530,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
         res.crash_bucket + static_cast<size_t>(opt.downtime_s) +
         static_cast<size_t>(opt.readd_s) + 2 /* re-establish grace */;
   }
-  for (const auto& [name, c] : eng.metrics().counters()) {
-    res.metrics[name] = static_cast<double>(c.value());
-  }
-  for (const auto& [name, g] : eng.metrics().gauges()) {
-    res.metrics[name] = static_cast<double>(g.value());
-    res.metrics[name + ".max"] = static_cast<double>(g.max());
-  }
+  res.metrics = obs::scalar_values(eng.metrics());
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)

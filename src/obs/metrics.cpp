@@ -136,6 +136,18 @@ std::string fmt_dur_or_count(const std::string& name, double v) {
 
 }  // namespace
 
+std::map<std::string, double> scalar_values(const MetricsRegistry& reg) {
+  std::map<std::string, double> out;
+  for (const auto& [name, c] : reg.counters()) {
+    out[name] = static_cast<double>(c.value());
+  }
+  for (const auto& [name, g] : reg.gauges()) {
+    out[name] = static_cast<double>(g.value());
+    out[name + ".max"] = static_cast<double>(g.max());
+  }
+  return out;
+}
+
 std::string format_summary(const MetricsRegistry& reg,
                            const std::string& indent) {
   // Collect one line per group: counters/gauges inline, histograms and hit

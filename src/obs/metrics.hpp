@@ -200,6 +200,28 @@ class HistogramHandle {
   Histogram* h_ = nullptr;
 };
 
+/// Counter values plus gauge values and maxima (as `<name>.max`), by name:
+/// the flat snapshot a run attaches to its results.
+std::map<std::string, double> scalar_values(const MetricsRegistry& reg);
+
+/// FNV-1a over 64-bit words fed low byte first: the determinism
+/// fingerprint of a run's results (same inputs in the same order => the
+/// same value, bit for bit).
+class Fingerprint {
+ public:
+  Fingerprint& mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xff;
+      h_ *= 1099511628211ull;
+    }
+    return *this;
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 14695981039346656037ull;
+};
+
 /// Multi-line human-readable dump: non-zero metrics grouped by the first two
 /// dotted name components, histograms as count/mean/p50/p99/max, and derived
 /// hit ratios for `<base>.hits` / `<base>.misses` counter pairs.  Each line

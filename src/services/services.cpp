@@ -65,6 +65,23 @@ crypto::Credential credential_from_field(const std::string& field) {
   return cred;
 }
 
+sim::Task<void> put_signed(net::Host& host, net::Address fss,
+                           const crypto::Credential& signer, ServiceProc proc,
+                           std::string action, std::string field,
+                           std::string value) {
+  Envelope env = sign_envelope(
+      action, {{field, value}}, signer,
+      static_cast<int64_t>(host.engine().now() / sim::kSecond));
+  auto client = co_await rpc::clnt_create(host, fss, kFssProgram, kFssVersion);
+  BufChain reply =
+      co_await client->call(static_cast<uint32_t>(proc), env.serialize());
+  client->close();
+  Envelope back = decode_env(reply);
+  if (back.action != action + "Response") {
+    throw std::runtime_error(action + " rejected: " + back.action);
+  }
+}
+
 // --- FSS ----------------------------------------------------------------------
 
 FileSystemService::FileSystemService(

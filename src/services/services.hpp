@@ -51,6 +51,14 @@ enum class ServiceProc : uint32_t {
 std::string credential_to_field(const crypto::Credential& cred);
 crypto::Credential credential_from_field(const std::string& field);
 
+/// Controller-side publication to an FSS: signs an `action` envelope that
+/// carries `field` = `value`, sends it as `proc`, and throws unless the FSS
+/// answers `<action>Response`.
+sim::Task<void> put_signed(net::Host& host, net::Address fss,
+                           const crypto::Credential& signer, ServiceProc proc,
+                           std::string action, std::string field,
+                           std::string value);
+
 /// FSS: per-host proxy factory, driven by signed envelopes from the DSS.
 class FileSystemService
     : public rpc::RpcProgram,

@@ -30,11 +30,17 @@ bool raise_size(std::optional<vfs::Attributes>& attrs, uint64_t floor) {
   return attrs && raise_size(*attrs, floor);
 }
 
-template <class Res>
-BufChain encode_res(const Res& res) {
+template <class T>
+BufChain encode_xdr(const T& value) {
   xdr::Encoder enc;
-  res.encode(enc);
+  value.encode(enc);
   return enc.take();
+}
+
+template <class T>
+T decode_xdr(const BufChain& bytes) {
+  xdr::Decoder dec(bytes);
+  return T::decode(dec);
 }
 
 }  // namespace
@@ -198,15 +204,6 @@ sim::SimDur ClientProxy::seal_cost(size_t bytes) const {
                                            crypto::MacAlgo::kHmacSha1, bytes);
 }
 
-std::optional<Buffer> ClientProxy::unseal(const Block& b,
-                                          const BlockKey& key) {
-  if (b.generation == 0) return std::nullopt;  // never sealed
-  host_.cpu().charge(seal_cost(b.data.size()), "crypto");
-  return crypto::unseal_block(seal_keys(key.first), key.first, key.second,
-                              b.generation,
-                              ByteView(b.data.data(), b.data.size()));
-}
-
 void ClientProxy::seal_into(Block& b, const BlockKey& key,
                             ByteView plaintext) {
   b.generation = ++seal_clock_;
@@ -244,52 +241,120 @@ void ClientProxy::note_verify_failure() {
   }
 }
 
-void ClientProxy::erase_block(std::map<BlockKey, Block>::iterator it) {
+std::optional<ByteView> ClientProxy::open_block(const BlockKey& key,
+                                                Buffer& scratch) {
+  const Block& b = blocks_.at(key);
+  if (!config_.cache.encryption) return ByteView(b.data);
+  std::optional<Buffer> plain;
+  if (b.generation != 0) {  // 0 = never sealed
+    host_.cpu().charge(seal_cost(b.data.size()), "crypto");
+    plain = crypto::unseal_block(seal_keys(key.first), key.first, key.second,
+                                 b.generation, ByteView(b.data));
+  }
+  if (!plain) {
+    // The scratch disk lied (tamper/truncate/splice/rollback).  Never
+    // surface the bytes: count the failure and evict the block.
+    note_verify_failure();
+    poison_evict(key);
+    return std::nullopt;
+  }
+  scratch = std::move(*plain);
+  return ByteView(scratch);
+}
+
+bool ClientProxy::store_block(const BlockKey& key, const BufChain& bytes,
+                              bool dirty) {
+  const size_t bs = config_.cache.block_size;
+  const auto n = static_cast<uint32_t>(std::min(bytes.size(), bs));
+  Block* b = nullptr;
+  if (!config_.cache.encryption) {
+    b = &put_block(key.first, key.second);
+    bytes.copy_to(MutByteView(b->data.data(), n));
+    b->valid = std::max(b->valid, n);
+  } else {
+    // Stage the full plaintext block (old verified contents overlaid with
+    // the new bytes), then seal it at a new generation.  A failed old blob
+    // forfeits the tail beyond `bytes`: the server still holds it.
+    Buffer stage;
+    uint32_t old_valid = 0;
+    if (blocks_.count(key)) {
+      if (open_block(key, stage)) {
+        old_valid = blocks_.at(key).valid;
+      } else if (!dirty && cache_bypassed()) {
+        return false;  // bypass admits no new clean blocks
+      }
+    }
+    stage.resize(bs, 0);
+    bytes.copy_to(MutByteView(stage.data(), n));
+    b = &put_block(key.first, key.second);
+    b->valid = std::max(old_valid, n);
+    seal_into(*b, key, ByteView(stage));
+  }
+  if (dirty) {
+    b->dirty = true;
+    dirty_[key.first].insert(key.second);
+  }
+  return true;
+}
+
+std::vector<std::pair<ClientProxy::BlockKey, Buffer>>
+ClientProxy::open_dirty_blocks() {
+  std::vector<BlockKey> keys;
+  for (const auto& [key, b] : blocks_) {
+    if (b.dirty) keys.push_back(key);
+  }
+  std::vector<std::pair<BlockKey, Buffer>> out;
+  for (const BlockKey& key : keys) {
+    Buffer scratch;
+    auto plain = open_block(key, scratch);
+    if (!plain) continue;  // poisoned while dirty: evicted, write-back lost
+    Buffer copy(plain->begin(), plain->end());
+    copy.resize(config_.cache.block_size, 0);
+    out.emplace_back(key, std::move(copy));
+  }
+  return out;
+}
+
+std::map<ClientProxy::BlockKey, ClientProxy::Block>::iterator
+ClientProxy::erase_block(std::map<BlockKey, Block>::iterator it) {
+  if (it->second.dirty) {
+    // The cache held the only copy of these bytes: account the loss (or
+    // the deliberate drop) as a cancelled write-back.
+    cancelled_writeback_bytes_ += it->second.valid;
+    mark_clean(it->first);
+  }
   lru_.erase(it->second.lru);
-  blocks_.erase(it);
+  it = blocks_.erase(it);
   cache_bytes_used_ -= config_.cache.block_size;
   assert(cache_accounting_consistent());
+  return it;
+}
+
+void ClientProxy::mark_clean(const BlockKey& key) {
+  auto it = blocks_.find(key);
+  if (it != blocks_.end()) it->second.dirty = false;
+  auto ds = dirty_.find(key.first);
+  if (ds != dirty_.end() && ds->second.erase(key.second) &&
+      ds->second.empty()) {
+    dirty_.erase(ds);
+  }
 }
 
 void ClientProxy::poison_evict(const BlockKey& key) {
   auto it = blocks_.find(key);
   if (it == blocks_.end()) return;
-  if (it->second.dirty) {
-    // A tampered dirty block is unrecoverable — the cache held the only
-    // copy.  Surface nothing corrupt; account the loss like a cancelled
-    // write-back.
-    cancelled_writeback_bytes_ += it->second.valid;
-    auto ds = dirty_.find(key.first);
-    if (ds != dirty_.end()) {
-      ds->second.erase(key.second);
-      if (ds->second.empty()) dirty_.erase(ds);
-    }
-  }
   erase_block(it);
   m_poison_evictions_.inc();
 }
 
 void ClientProxy::purge_clean_blocks() {
   for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->second.dirty) {
-      ++it;
-      continue;
-    }
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-    cache_bytes_used_ -= config_.cache.block_size;
+    it = it->second.dirty ? std::next(it) : erase_block(it);
   }
-  assert(cache_accounting_consistent());
 }
 
 void ClientProxy::purge_cached_plaintext() {
-  for (const auto& [key, b] : blocks_) {
-    if (b.dirty) cancelled_writeback_bytes_ += b.valid;
-  }
-  blocks_.clear();
-  lru_.clear();
-  cache_bytes_used_ = 0;
-  dirty_.clear();
+  for (auto it = blocks_.begin(); it != blocks_.end();) it = erase_block(it);
   uncommitted_.clear();
   attrs_.clear();
   names_.clear();
@@ -309,20 +374,8 @@ void ClientProxy::rekey_cache() {
   // the outgoing keys and re-seal under the new master.  Clean blocks are
   // simply dropped (a re-fetch is cheaper than a re-seal pass and stale
   // keys must never serve).
-  struct Pending {
-    BlockKey key;
-    Buffer plaintext;
-  };
-  std::vector<Pending> dirty_plain;
-  for (auto& [key, b] : blocks_) {
-    if (!b.dirty) continue;
-    auto plain = unseal(b, key);
-    if (!plain) {
-      note_verify_failure();
-      continue;  // poisoned while dirty: dropped below with the clean set
-    }
-    dirty_plain.push_back({key, std::move(*plain)});
-  }
+  purge_clean_blocks();
+  auto dirty_plain = open_dirty_blocks();
   cache_master_ = std::move(new_master);
   file_keys_.clear();
   // Sealed name entries were keyed under the outgoing master: they can no
@@ -331,35 +384,9 @@ void ClientProxy::rekey_cache() {
   names_.clear();
   name_keys_.clear();
   name_master_.clear();
-  // Everything not re-sealed below goes: clean blocks and any dirty block
-  // whose blob failed verification.
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    const bool keep = std::any_of(
-        dirty_plain.begin(), dirty_plain.end(),
-        [&](const Pending& p) { return p.key == it->first; });
-    if (keep) {
-      ++it;
-      continue;
-    }
-    if (it->second.dirty) {
-      cancelled_writeback_bytes_ += it->second.valid;
-      auto ds = dirty_.find(it->first.first);
-      if (ds != dirty_.end()) {
-        ds->second.erase(it->first.second);
-        if (ds->second.empty()) dirty_.erase(ds);
-      }
-    }
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-    cache_bytes_used_ -= config_.cache.block_size;
+  for (auto& [key, plain] : dirty_plain) {
+    seal_into(blocks_.at(key), key, ByteView(plain));
   }
-  for (Pending& p : dirty_plain) {
-    auto it = blocks_.find(p.key);
-    if (it == blocks_.end()) continue;
-    seal_into(it->second, p.key,
-              ByteView(p.plaintext.data(), p.plaintext.size()));
-  }
-  assert(cache_accounting_consistent());
 }
 
 bool ClientProxy::data_cache_admitting() {
@@ -514,25 +541,11 @@ sim::Task<std::optional<BufChain>> ClientProxy::replica_read(
   // Fill the local cache so repeat reads stay local (same admission rules
   // as an origin fill; never overwrite resident blocks or replay shadows).
   const BlockKey rkey{a.fh.fileid, index};
-  const bool fillable = config_.cache.cache_data &&
-                        blocks_.find(rkey) == blocks_.end() &&
-                        uncommitted_.find(rkey) == uncommitted_.end();
-  if (fillable && !config_.cache.encryption) {
-    Block& b = put_block(a.fh.fileid, index);
+  if (config_.cache.cache_data && blocks_.find(rkey) == blocks_.end() &&
+      uncommitted_.find(rkey) == uncommitted_.end() &&
+      data_cache_admitting()) {
     const size_t n = std::min<size_t>(plain->size(), bs);
-    std::copy(plain->begin(), plain->begin() + static_cast<long>(n),
-              b.data.begin());
-    b.valid = static_cast<uint32_t>(n);
-    spawn_cache_store(a.fh.fileid, index, n);
-    co_await evict_if_needed();
-  } else if (fillable && data_cache_admitting()) {
-    Buffer stage(bs, 0);
-    const size_t n = std::min<size_t>(plain->size(), bs);
-    std::copy(plain->begin(), plain->begin() + static_cast<long>(n),
-              stage.begin());
-    Block& b = put_block(a.fh.fileid, index);
-    b.valid = static_cast<uint32_t>(n);
-    seal_into(b, rkey, ByteView(stage.data(), stage.size()));
+    store_block(rkey, BufChain(std::move(*plain)), /*dirty=*/false);
     spawn_cache_store(a.fh.fileid, index, n);
     co_await evict_if_needed();
   }
@@ -666,19 +679,18 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
   const bool security_changed =
       config.security.cipher != config_.security.cipher ||
       config.security.mac != config_.security.mac;
-  const bool encryption_changed =
-      config.cache.encryption != config_.cache.encryption;
-  config_ = config;
-  if (encryption_changed) {
+  if (config.cache.encryption != config_.cache.encryption) {
     // Blocks stored under the old at-rest mode must never be served under
     // the new one: a plaintext blob would fail (or worse, satisfy) the
     // sealed read path, and a sealed blob is garbage to the plaintext one.
     // Clean blocks are droppable; dirty blocks carry the only copy of
-    // absorbed writes and convert in place.
+    // absorbed writes, so each is opened in the old format and converted
+    // in place.
+    purge_clean_blocks();
+    auto dirty_plain = open_dirty_blocks();
+    config_ = config;
     if (config_.cache.encryption) {
-      // Resident blocks are plaintext right now, so there is nothing to
-      // re-seal from the old key: just (re)bind the master and convert the
-      // dirty set.
+      // Nothing was sealed before: just (re)bind the master.
       if (epoch_secret_) {
         cache_master_ = crypto::KeyRegression::content_key(
             *epoch_secret_, epoch_secret_epoch_);
@@ -686,35 +698,14 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
         cache_master_ = rng_.bytes(crypto::KeyRegression::kSecretSize);
       }
       file_keys_.clear();
-      purge_clean_blocks();
-      for (auto& [key, b] : blocks_) {
-        if (!b.dirty || b.generation != 0) continue;
-        Buffer plain = std::move(b.data);
-        plain.resize(config_.cache.block_size, 0);
-        seal_into(b, key, ByteView(plain.data(), plain.size()));
-      }
-    } else {
-      purge_clean_blocks();
-      for (auto it = blocks_.begin(); it != blocks_.end();) {
-        auto plain = unseal(it->second, it->first);
-        if (plain) {
-          it->second.data = std::move(*plain);
-          it->second.data.resize(config_.cache.block_size, 0);
-          it->second.generation = 0;
-          ++it;
-          continue;
-        }
-        // Poisoned while dirty: unrecoverable, never surface it.
-        m_verify_failures_.inc();
-        cancelled_writeback_bytes_ += it->second.valid;
-        auto ds = dirty_.find(it->first.first);
-        if (ds != dirty_.end()) {
-          ds->second.erase(it->first.second);
-          if (ds->second.empty()) dirty_.erase(ds);
-        }
-        lru_.erase(it->second.lru);
-        it = blocks_.erase(it);
-        cache_bytes_used_ -= config_.cache.block_size;
+    }
+    for (auto& [key, plain] : dirty_plain) {
+      Block& b = blocks_.at(key);
+      if (config_.cache.encryption) {
+        seal_into(b, key, ByteView(plain));
+      } else {
+        b.data = std::move(plain);
+        b.generation = 0;
       }
     }
     cache_breaker_ = TrustBreaker(cache_breaker_policy());
@@ -723,24 +714,17 @@ void ClientProxy::reload(const ClientProxyConfig& config) {
     names_.clear();
     name_keys_.clear();
     name_master_.clear();
-    assert(cache_accounting_consistent());
   }
+  config_ = config;
   // A shrunk capacity must not leave over-capacity blocks resident: drop
   // clean victims in LRU order now (reload is synchronous, so dirty blocks
   // wait for the next cache operation's writeback-eviction).
   for (auto it = lru_.begin();
        cache_bytes_used_ > config_.cache.capacity_bytes &&
        it != lru_.end();) {
-    auto bit = blocks_.find(it->second);
-    if (bit == blocks_.end() || bit->second.dirty) {
-      ++it;
-      continue;
-    }
-    it = lru_.erase(it);
-    blocks_.erase(bit);
-    cache_bytes_used_ -= config_.cache.block_size;
+    auto bit = blocks_.find((it++)->second);
+    if (bit != blocks_.end() && !bit->second.dirty) erase_block(bit);
   }
-  assert(cache_accounting_consistent());
   if (security_changed) {
     // Tear down the secured connections; the next request re-handshakes
     // under the new configuration (certificates are re-read then too).  The
@@ -820,30 +804,40 @@ uint64_t ClientProxy::dirty_extent(uint64_t fileid) const {
 }
 
 void ClientProxy::drop_file(uint64_t fileid) {
-  auto it = blocks_.lower_bound({fileid, 0});
-  while (it != blocks_.end() && it->first.first == fileid) {
-    if (it->second.dirty) {
-      cancelled_writeback_bytes_ += it->second.valid;
-    }
-    cache_bytes_used_ -= config_.cache.block_size;
-    lru_.erase(it->second.lru);
-    it = blocks_.erase(it);
-  }
-  assert(cache_accounting_consistent());
-  dirty_.erase(fileid);
+  // Removed files need no write-back or verifier replay ("only the final
+  // results are written back", §6.3.2 — and the server unlinked the data).
+  drop_blocks(fileid, 0);
   attrs_.erase(fileid);
   access_cache_.erase(fileid);
   dir_cache_.erase(fileid);
-  // Removed files need no verifier replay ("only the final results are
-  // written back", §6.3.2 — and the server unlinked the data anyway).
-  drop_shadows(fileid);
 }
 
-void ClientProxy::invalidate_dir(uint64_t dir_fileid) {
-  dir_cache_.erase(dir_fileid);
-  auto it = names_.lower_bound({dir_fileid, ""});
-  while (it != names_.end() && it->first.first == dir_fileid) {
-    it = names_.erase(it);
+void ClientProxy::drop_blocks(uint64_t fileid, uint64_t first) {
+  auto it = blocks_.lower_bound({fileid, first});
+  while (it != blocks_.end() && it->first.first == fileid) {
+    it = erase_block(it);
+  }
+  drop_shadows(fileid, first);
+}
+
+bool ClientProxy::last_link(const nfs::LookupRes& victim) const {
+  // The vfs frees an inode only at nlink 0, and a directory has one name.
+  // Only the attribute cache's link count is kept current (LINK and
+  // non-final unlinks through this proxy adjust it); without it the name
+  // may not be the last, so the write-backs are kept (safe, not optimal).
+  auto at = attrs_.find(victim.fh.fileid);
+  const vfs::Attributes* known = at != attrs_.end() ? &at->second.attrs
+                                 : victim.attrs     ? &*victim.attrs
+                                                    : nullptr;
+  if (known && known->type == vfs::FileType::kDirectory) return true;
+  return at != attrs_.end() && at->second.attrs.nlink <= 1;
+}
+
+void ClientProxy::unlink_name(const nfs::LookupRes& victim) {
+  if (last_link(victim)) {
+    drop_file(victim.fh.fileid);
+  } else if (auto at = attrs_.find(victim.fh.fileid); at != attrs_.end()) {
+    --at->second.attrs.nlink;
   }
 }
 
@@ -872,79 +866,76 @@ ClientProxy::Block& ClientProxy::put_block(uint64_t fileid, uint64_t block) {
   return it->second;
 }
 
-sim::Task<void> ClientProxy::writeback_block(uint64_t fileid, uint64_t block,
-                                             bool file_sync) {
-  BlockKey key{fileid, block};
+template <class Res, class Args>
+sim::Task<Res> ClientProxy::call_upstream(Proc3 proc, const Args& args) {
+  rpc::CallContext ctx;
+  ctx.prog = nfs::kNfsProgram;
+  ctx.vers = nfs::kNfsVersion3;
+  ctx.proc = static_cast<uint32_t>(proc);
+  ctx.auth_sys = last_client_auth_;
+  BufChain reply = co_await forward(ctx, encode_xdr(args));
+  co_return decode_xdr<Res>(reply);
+}
+
+sim::Task<std::optional<BufChain>> ClientProxy::snapshot_dirty(
+    const BlockKey& key) {
   auto it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return;
-  // Read the block back from the cache disk, then push it upstream.
-  co_await cache_disk_io(fileid, block, it->second.valid, /*write=*/false);
+  if (it == blocks_.end() || !it->second.dirty) co_return std::nullopt;
+  // Read the block back from the cache disk, then copy it out.
+  co_await cache_disk_io(key.first, key.second, it->second.valid,
+                         /*write=*/false);
   // The disk read suspended: a concurrent op (poison eviction, truncate,
   // another flush) may have erased the block meanwhile.
   it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return;
+  if (it == blocks_.end() || !it->second.dirty) co_return std::nullopt;
+  const size_t len = it->second.valid;
+  Buffer scratch;
+  auto plain = open_block(key, scratch);
+  if (!plain) {
+    // The scratch disk destroyed the only copy: never push the bytes.
+    SGFS_WARN("sgfs-proxy",
+              "dirty cache block failed verification; dropping write-back");
+    co_return std::nullopt;
+  }
+  // The kernel client may keep writing into the cached block while the
+  // WRITE is in flight, so the upstream payload cannot alias it.  This is
+  // the one copy a write-back cache fundamentally needs.
+  BufChain snap = BufChain::copy_of(plain->first(len));
+  if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
+  co_return snap;
+}
+
+sim::Task<void> ClientProxy::writeback_block(uint64_t fileid, uint64_t block,
+                                             bool file_sync) {
+  const BlockKey key{fileid, block};
+  auto snap = co_await snapshot_dirty(key);
+  if (!snap) co_return;
   nfs::WriteArgs wargs;
   wargs.fh = Fh(seen_fsid_, fileid);
   wargs.offset = block * config_.cache.block_size;
   wargs.stable = file_sync ? nfs::StableHow::kFileSync
                            : nfs::StableHow::kUnstable;
-  // Snapshot the block: the kernel client may keep writing into the cached
-  // block while this WRITE is in flight, so the upstream payload cannot
-  // alias it.  This is the one copy a write-back cache fundamentally needs.
-  const size_t snap_len = it->second.valid;
-  Buffer opened;  // sealed mode: verified plaintext backing the snapshot
-  if (config_.cache.encryption) {
-    auto plain = unseal(it->second, key);
-    if (!plain) {
-      // A dirty block failed verification: the scratch disk destroyed the
-      // only copy.  Never push (or serve) the corrupt bytes.
-      note_verify_failure();
-      SGFS_WARN("sgfs-proxy",
-                "dirty cache block failed verification; dropping write-back");
-      poison_evict(key);
-      co_return;
-    }
-    opened = std::move(*plain);
-    wargs.data = BufChain::copy_of(ByteView(opened.data(), snap_len));
-  } else {
-    wargs.data =
-        BufChain::copy_of(ByteView(it->second.data.data(), snap_len));
-  }
-  if (host_.memcpy_charged()) co_await host_.memcpy_cost(snap_len);
-  xdr::Encoder enc;
-  wargs.encode(enc);
-  rpc::CallContext fake;
-  fake.prog = nfs::kNfsProgram;
-  fake.vers = nfs::kNfsVersion3;
-  fake.proc = static_cast<uint32_t>(Proc3::kWrite);
-  fake.auth_sys = last_client_auth_;
+  wargs.data = std::move(*snap);
+  const size_t snap_len = wargs.data.size();
   // Refcounted alias of the snapshot: if this goes out UNSTABLE and the
   // file server restarts before COMMIT, exactly these bytes are resent.
   BufChain shadow = wargs.data;
-  BufChain reply = co_await forward(fake, enc.take());
-  xdr::Decoder dec(reply);
-  auto res = nfs::WriteRes::decode(dec);
+  auto res = co_await call_upstream<nfs::WriteRes>(Proc3::kWrite, wargs);
   if (res.status != Status::kOk) {
     SGFS_WARN("sgfs-proxy", "write-back failed: ",
               vfs::to_string(res.status));
   }
   flushed_bytes_ += snap_len;
   m_flushed_bytes_.inc(snap_len);
-  auto again = blocks_.find(key);
-  if (again != blocks_.end()) again->second.dirty = false;
-  auto ds = dirty_.find(fileid);
-  if (ds != dirty_.end()) {
-    ds->second.erase(block);
-    if (ds->second.empty()) dirty_.erase(ds);
-  }
+  mark_clean(key);
   if (res.status == Status::kOk) {
     if (!file_sync) uncommitted_[key] = std::move(shadow);
     co_await note_upstream_verf(res.verf);
   }
 }
 
-void ClientProxy::drop_shadows(uint64_t fileid) {
-  auto it = uncommitted_.lower_bound({fileid, 0});
+void ClientProxy::drop_shadows(uint64_t fileid, uint64_t first) {
+  auto it = uncommitted_.lower_bound({fileid, first});
   while (it != uncommitted_.end() && it->first.first == fileid) {
     it = uncommitted_.erase(it);
   }
@@ -987,16 +978,7 @@ sim::Task<void> ClientProxy::replay_uncommitted() {
       wargs.stable = nfs::StableHow::kUnstable;
       wargs.data = it->second;
       const size_t nbytes = wargs.data.size();
-      xdr::Encoder enc;
-      wargs.encode(enc);
-      rpc::CallContext fake;
-      fake.prog = nfs::kNfsProgram;
-      fake.vers = nfs::kNfsVersion3;
-      fake.proc = static_cast<uint32_t>(Proc3::kWrite);
-      fake.auth_sys = last_client_auth_;
-      BufChain reply = co_await forward(fake, enc.take());
-      xdr::Decoder dec(reply);
-      auto res = nfs::WriteRes::decode(dec);
+      auto res = co_await call_upstream<nfs::WriteRes>(Proc3::kWrite, wargs);
       if (res.status != Status::kOk) {
         SGFS_WARN("sgfs-proxy", "replay failed: ",
                   vfs::to_string(res.status));
@@ -1040,15 +1022,7 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
       // Local state wins over server bytes: never overwrite a cached block
       // (it may be dirty) or one with an uncommitted replay shadow.
       if (blocks_.count(key) || uncommitted_.count(key)) continue;
-      Block& b = put_block(a.fh.fileid, block);
-      b.valid = static_cast<uint32_t>(len);
-      if (!config_.cache.encryption) {
-        res.data.slice(off, len).copy_to(MutByteView(b.data.data(), len));
-      } else {
-        Buffer stage(bs, 0);
-        res.data.slice(off, len).copy_to(MutByteView(stage.data(), len));
-        seal_into(b, key, ByteView(stage.data(), stage.size()));
-      }
+      store_block(key, res.data.slice(off, len), /*dirty=*/false);
       if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
       spawn_cache_store(a.fh.fileid, block, len);
     }
@@ -1082,32 +1056,10 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
   uint64_t prev_block = 0;
   bool prev_full = false;
   for (uint64_t block : pending) {
-    auto it = blocks_.find({fileid, block});
-    if (it == blocks_.end() || !it->second.dirty) continue;
-    // Read back from the cache disk and snapshot, exactly like the
-    // single-stream write-back (the kernel client may keep writing into
-    // the cached block while the WRITE is in flight).
-    co_await cache_disk_io(fileid, block, it->second.valid, /*write=*/false);
-    // The disk read suspended: a concurrent op may have erased the block.
-    it = blocks_.find({fileid, block});
-    if (it == blocks_.end() || !it->second.dirty) continue;
-    const size_t len = it->second.valid;
-    BufChain snap;
-    if (config_.cache.encryption) {
-      auto plain = unseal(it->second, {fileid, block});
-      if (!plain) {
-        note_verify_failure();
-        SGFS_WARN("sgfs-proxy",
-                  "dirty cache block failed verification; dropping ",
-                  "write-back");
-        poison_evict({fileid, block});
-        continue;
-      }
-      snap = BufChain::copy_of(ByteView(plain->data(), len));
-    } else {
-      snap = BufChain::copy_of(ByteView(it->second.data.data(), len));
-    }
-    if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
+    // Same read-back and snapshot as the single-stream write-back.
+    auto snap = co_await snapshot_dirty({fileid, block});
+    if (!snap) continue;
+    const size_t len = snap->size();
     // Coalesce adjacent full blocks into one compound UNSTABLE WRITE; a
     // short (partially-valid) block may only end a run.
     const bool extend =
@@ -1119,11 +1071,11 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
       b.wire.offset = block * bs;
       batches.push_back(std::move(b));
     }
-    batches.back().wire.data.append(snap);
+    batches.back().wire.data.append(*snap);
     Shadow sh;
     sh.block = block;
     sh.len = len;
-    sh.data = std::move(snap);
+    sh.data = std::move(*snap);
     batches.back().shadows.push_back(std::move(sh));
     prev_block = block;
     prev_full = len == bs;
@@ -1162,13 +1114,7 @@ sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
     }
     for (const Shadow& sh : batches[i].shadows) {
       const BlockKey key{fileid, sh.block};
-      auto again = blocks_.find(key);
-      if (again != blocks_.end()) again->second.dirty = false;
-      auto d = dirty_.find(fileid);
-      if (d != dirty_.end()) {
-        d->second.erase(sh.block);
-        if (d->second.empty()) dirty_.erase(d);
-      }
+      mark_clean(key);
       flushed_bytes_ += sh.len;
       m_flushed_bytes_.inc(sh.len);
       if (res.status == Status::kOk) uncommitted_[key] = sh.data;
@@ -1240,17 +1186,8 @@ sim::Task<void> ClientProxy::flush() {
     // holds the data; a mismatch means a mid-flush restart, which
     // note_upstream_verf answers by replaying the uncommitted shadows.
     for (;;) {
-      nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
-      xdr::Encoder enc;
-      cargs.encode(enc);
-      rpc::CallContext fake;
-      fake.prog = nfs::kNfsProgram;
-      fake.vers = nfs::kNfsVersion3;
-      fake.proc = static_cast<uint32_t>(Proc3::kCommit);
-      fake.auth_sys = last_client_auth_;
-      BufChain reply = co_await forward(fake, enc.take());
-      xdr::Decoder dec(reply);
-      auto res = nfs::CommitRes::decode(dec);
+      const nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
+      auto res = co_await call_upstream<nfs::CommitRes>(Proc3::kCommit, cargs);
       if (res.status != Status::kOk) {
         SGFS_WARN("sgfs-proxy", "flush COMMIT failed: ",
                   vfs::to_string(res.status));
@@ -1264,6 +1201,17 @@ sim::Task<void> ClientProxy::flush() {
 }
 
 // --- request handling -----------------------------------------------------------
+
+template <class Res, class Attrs>
+bool ClientProxy::settle(BufChain& reply, Res& res, Attrs Res::*attrs,
+                         const Fh& fh, bool keep) {
+  if (res.status != Status::kOk) return false;
+  if (raise_size(res.*attrs, dirty_extent(fh.fileid))) {
+    reply = encode_xdr(res);
+  }
+  if (keep) remember(fh, res.*attrs);
+  return true;
+}
 
 sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
                                         BufChain args) {
@@ -1284,8 +1232,7 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
 
   switch (proc) {
     case Proc3::kGetattr: {
-      xdr::Decoder dec(args);
-      auto a = nfs::GetattrArgs::decode(dec);
+      auto a = decode_xdr<nfs::GetattrArgs>(args);
       auto hit = attrs_.find(a.fh.fileid);
       if (config_.cache.cache_attrs && hit != attrs_.end() &&
           attrs_fresh(hit->second)) {
@@ -1293,25 +1240,16 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         m_absorbed_getattrs_.inc();
         nfs::GetattrRes res;
         res.attrs = hit->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encode_xdr(res);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::GetattrRes::decode(rdec);
-      if (res.status == Status::kOk) {
-        if (raise_size(res.attrs, dirty_extent(a.fh.fileid))) {
-          reply = encode_res(res);
-        }
-        remember(a.fh, res.attrs);
-      }
+      auto res = decode_xdr<nfs::GetattrRes>(reply);
+      settle(reply, res, &nfs::GetattrRes::attrs, a.fh);
       co_return reply;
     }
 
     case Proc3::kLookup: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = decode_xdr<nfs::DiropArgs>(args);
       if (config_.cache.cache_names) {
         auto cached = name_get(a.dir.fileid, a.name);
         if (cached) {
@@ -1321,29 +1259,22 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
           // Refresh attrs from the attribute cache (local writes move them).
           auto at = attrs_.find(res.fh.fileid);
           if (at != attrs_.end()) res.attrs = at->second.attrs;
-          xdr::Encoder enc;
-          res.encode(enc);
-          co_return enc.take();
+          co_return encode_xdr(res);
         }
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::LookupRes::decode(rdec);
-      if (res.status == Status::kOk &&
-          raise_size(res.attrs, dirty_extent(res.fh.fileid))) {
-        reply = encode_res(res);
-      }
-      if (res.status == Status::kOk && config_.cache.cache_names) {
+      auto res = decode_xdr<nfs::LookupRes>(reply);
+      if (settle(reply, res, &nfs::LookupRes::attrs, res.fh,
+                 config_.cache.cache_names) &&
+          config_.cache.cache_names) {
         name_put(a.dir.fileid, a.name, res);
-        remember(res.fh, res.attrs);
         remember(a.dir, res.dir_attrs);
       }
       co_return reply;
     }
 
     case Proc3::kAccess: {
-      xdr::Decoder dec(args);
-      auto a = nfs::AccessArgs::decode(dec);
+      auto a = decode_xdr<nfs::AccessArgs>(args);
       auto hit = access_cache_.find(a.fh.fileid);
       if (hit != access_cache_.end() &&
           (a.access & ~hit->second.first) == 0) {
@@ -1351,26 +1282,18 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         res.access = hit->second.second & a.access;
         auto at = attrs_.find(a.fh.fileid);
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encode_xdr(res);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::AccessRes::decode(rdec);
-      if (res.status == Status::kOk) {
-        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
-          reply = encode_res(res);
-        }
+      auto res = decode_xdr<nfs::AccessRes>(reply);
+      if (settle(reply, res, &nfs::AccessRes::post_attrs, a.fh)) {
         access_cache_[a.fh.fileid] = {a.access, res.access};
-        remember(a.fh, res.post_attrs);
       }
       co_return reply;
     }
 
     case Proc3::kRead: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReadArgs::decode(dec);
+      auto a = decode_xdr<nfs::ReadArgs>(args);
       seen_fsid_ = a.fh.fsid;
       // Block alignment is what the replica path needs; cachability
       // additionally requires the data cache to be on.
@@ -1382,75 +1305,53 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       // the K=1 path is unchanged.
       const BlockKey rkey{a.fh.fileid, a.offset / bs};
       for (int pass = 0;; ++pass) {
-        if (aligned) {
-          auto bit = blocks_.find(rkey);
-          auto at = attrs_.find(a.fh.fileid);
-          if (bit != blocks_.end() && at != attrs_.end() &&
-              attrs_fresh(at->second)) {
-            // Sealed cache: verify before serving.  During bypass only
-            // dirty blocks (the sole copy of absorbed writes) are served
-            // from cache; everything else reads through.
-            std::optional<Buffer> plain;
-            bool serve = true;
-            if (config_.cache.encryption) {
-              serve = cache_breaker_.state() != TrustBreaker::State::kOpen ||
-                      bit->second.dirty;
-              if (serve) {
-                plain = unseal(bit->second, rkey);
-                if (!plain) {
-                  // The scratch disk lied.  Never surface the corrupt
-                  // bytes: count, evict, and re-fetch from the server.
-                  note_verify_failure();
-                  poison_evict(rkey);
-                  m_refetches_.inc();
-                  serve = false;
-                } else if (cache_breaker_.state() ==
-                           TrustBreaker::State::kProbe) {
-                  // A trial blob survived at rest and verified: the disk
-                  // is behaving again, re-arm full caching.
-                  cache_breaker_.note_success();
-                  SGFS_INFO("sgfs-proxy",
-                            "cache probe clean: caching re-enabled");
-                }
-              }
+        auto bit = blocks_.find(rkey);
+        auto at = attrs_.find(a.fh.fileid);
+        // During bypass only dirty blocks (the sole copy of absorbed
+        // writes) are served from cache; everything else reads through.
+        if (aligned && bit != blocks_.end() && at != attrs_.end() &&
+            attrs_fresh(at->second) &&
+            (!cache_bypassed() || bit->second.dirty)) {
+          Buffer scratch;
+          const uint32_t valid = bit->second.valid;
+          auto plain = open_block(rkey, scratch);
+          if (!plain) {
+            m_refetches_.inc();  // verification failed: re-fetch upstream
+          } else {
+            if (cache_breaker_.state() == TrustBreaker::State::kProbe) {
+              // A trial blob survived at rest and verified: the disk is
+              // behaving again, re-arm full caching.
+              cache_breaker_.note_success();
+              SGFS_INFO("sgfs-proxy", "cache probe clean: caching re-enabled");
             }
-            if (serve) {
-              ++absorbed_reads_;
-              m_absorbed_reads_.inc();
-              const uint64_t size = at->second.attrs.size;
-              const Block& b = bit->second;
-              size_t have =
-                  a.offset >= size
-                      ? 0
-                      : std::min<uint64_t>(
-                            std::min<uint64_t>(a.count, b.valid),
-                            size - a.offset);
-              // The at-rest bytes bound the copy (a tampered plaintext
-              // cache may hold a truncated buffer — the negative control
-              // serves wrong bytes, never out-of-bounds ones).
-              const uint8_t* src = plain ? plain->data() : b.data.data();
-              const size_t cap = plain ? plain->size() : b.data.size();
-              have = std::min(have, cap);
-              // Snapshot the reply before the disk-io suspension: a
-              // concurrent op may evict the block (or drop the attrs)
-              // while this coroutine sleeps on the cache disk.
-              nfs::ReadRes res;
-              res.count = static_cast<uint32_t>(have);
-              res.eof = a.offset + have >= size;
-              res.data = BufChain::copy_of(ByteView(src, have));
-              res.post_attrs = at->second.attrs;
-              co_await cache_disk_io(a.fh.fileid, a.offset / bs,
-                                     have ? have : 1,
-                                     /*write=*/false);
-              if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
-              xdr::Encoder enc;
-              res.encode(enc);
-              co_return enc.take();
-            }
+            ++absorbed_reads_;
+            m_absorbed_reads_.inc();
+            const uint64_t size = at->second.attrs.size;
+            size_t have =
+                a.offset >= size
+                    ? 0
+                    : std::min<uint64_t>(std::min<uint64_t>(a.count, valid),
+                                         size - a.offset);
+            // The opened bytes bound the copy (a tampered plaintext cache
+            // may hold a truncated buffer — the negative control serves
+            // wrong bytes, never out-of-bounds ones).
+            have = std::min(have, plain->size());
+            // Snapshot the reply before the disk-io suspension: a
+            // concurrent op may evict the block (or drop the attrs) while
+            // this coroutine sleeps on the cache disk.
+            nfs::ReadRes res;
+            res.count = static_cast<uint32_t>(have);
+            res.eof = a.offset + have >= size;
+            res.data = BufChain::copy_of(plain->first(have));
+            res.post_attrs = at->second.attrs;
+            co_await cache_disk_io(a.fh.fileid, a.offset / bs,
+                                   have ? have : 1,
+                                   /*write=*/false);
+            if (host_.memcpy_charged()) co_await host_.memcpy_cost(have);
+            co_return encode_xdr(res);
           }
         }
-        if (pass == 0 && pool_ && aligned &&
-            (!config_.cache.encryption || data_cache_admitting())) {
+        if (pass == 0 && pool_ && aligned && data_cache_admitting()) {
           co_await striped_fill(a);
           continue;  // re-check: the readahead usually made this a hit
         }
@@ -1466,116 +1367,37 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         if (served) co_return std::move(*served);
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::ReadRes::decode(rdec);
-      if (res.status == Status::kOk &&
-          raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
-        reply = encode_res(res);
-      }
-      if (res.status == Status::kOk && aligned) {
-        remember(a.fh, res.post_attrs);
-        if (!config_.cache.encryption) {
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          res.data.copy_to(MutByteView(b.data.data(), res.data.size()));
-          b.valid = std::max(b.valid, res.count);
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(res.data.size());
-          }
-          spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
-          co_await evict_if_needed();
-        } else if (data_cache_admitting()) {
-          // Stage the full plaintext block (old verified contents overlaid
-          // with the fresh server bytes), then seal at a new generation.
-          // References are taken only after any breaker purge could run.
-          Buffer stage(bs, 0);
-          uint32_t old_valid = 0;
-          auto bit = blocks_.find(rkey);
-          if (bit != blocks_.end() && bit->second.generation != 0) {
-            auto old = unseal(bit->second, rkey);
-            if (old) {
-              old_valid = bit->second.valid;
-              stage = std::move(*old);
-              stage.resize(bs, 0);
-            } else {
-              note_verify_failure();
-              poison_evict(rkey);
-            }
-          }
-          if (cache_breaker_.state() != TrustBreaker::State::kOpen) {
-            res.data.copy_to(MutByteView(stage.data(), res.data.size()));
-            Block& b = put_block(a.fh.fileid, a.offset / bs);
-            b.valid = std::max(old_valid, res.count);
-            seal_into(b, rkey, ByteView(stage.data(), stage.size()));
-            if (host_.memcpy_charged()) {
-              co_await host_.memcpy_cost(res.data.size());
-            }
-            spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
-            co_await evict_if_needed();
-          }
+      auto res = decode_xdr<nfs::ReadRes>(reply);
+      if (settle(reply, res, &nfs::ReadRes::post_attrs, a.fh, aligned) &&
+          aligned && data_cache_admitting() &&
+          store_block(rkey, res.data, /*dirty=*/false)) {
+        if (host_.memcpy_charged()) {
+          co_await host_.memcpy_cost(res.data.size());
         }
+        spawn_cache_store(a.fh.fileid, a.offset / bs, res.count);
+        co_await evict_if_needed();
       }
       co_return reply;
     }
 
     case Proc3::kWrite: {
-      xdr::Decoder dec(args);
-      auto a = nfs::WriteArgs::decode(dec);
+      auto a = decode_xdr<nfs::WriteArgs>(args);
       seen_fsid_ = a.fh.fsid;
-      const bool aligned =
-          config_.cache.cache_data && a.offset % bs == 0 &&
-          a.data.size() <= bs;
-      bool absorb = config_.cache.write_back && aligned;
-      if (absorb && config_.cache.encryption) {
-        // During bypass, a block that is already dirty stays cache-owned
-        // (ordering: its eventual flush must not overwrite later
-        // write-throughs); everything else writes through.
-        auto bit = blocks_.find({a.fh.fileid, a.offset / bs});
-        const bool dirty_resident =
-            bit != blocks_.end() && bit->second.dirty;
-        absorb = data_cache_admitting() || dirty_resident;
-      }
+      const BlockKey wkey{a.fh.fileid, a.offset / bs};
+      // During bypass, a block that is already dirty stays cache-owned
+      // (ordering: its eventual flush must not overwrite later
+      // write-throughs); everything else writes through.
+      auto bit = blocks_.find(wkey);
+      const bool absorb =
+          config_.cache.write_back && config_.cache.cache_data &&
+          a.offset % bs == 0 && a.data.size() <= bs &&
+          (data_cache_admitting() ||
+           (bit != blocks_.end() && bit->second.dirty));
       if (absorb) {
         ++absorbed_writes_;
         m_absorbed_writes_.inc();
-        const BlockKey wkey{a.fh.fileid, a.offset / bs};
-        if (!config_.cache.encryption) {
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          a.data.copy_to(MutByteView(b.data.data(), a.data.size()));
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(a.data.size());
-          }
-          b.valid = std::max<uint32_t>(b.valid,
-                                       static_cast<uint32_t>(a.data.size()));
-          b.dirty = true;
-        } else {
-          // Overlay onto the verified old plaintext; a failed verification
-          // forfeits the (clean) tail beyond this write — the server still
-          // holds it, so nothing corrupt is ever written back.
-          Buffer stage(bs, 0);
-          uint32_t old_valid = 0;
-          auto bit = blocks_.find(wkey);
-          if (bit != blocks_.end() && bit->second.generation != 0) {
-            auto old = unseal(bit->second, wkey);
-            if (old) {
-              old_valid = bit->second.valid;
-              stage = std::move(*old);
-              stage.resize(bs, 0);
-            } else {
-              note_verify_failure();
-              poison_evict(wkey);
-            }
-          }
-          a.data.copy_to(MutByteView(stage.data(), a.data.size()));
-          if (host_.memcpy_charged()) {
-            co_await host_.memcpy_cost(a.data.size());
-          }
-          Block& b = put_block(a.fh.fileid, a.offset / bs);
-          b.valid = std::max<uint32_t>(old_valid,
-                                       static_cast<uint32_t>(a.data.size()));
-          b.dirty = true;
-          seal_into(b, wkey, ByteView(stage.data(), stage.size()));
-        }
-        dirty_[a.fh.fileid].insert(a.offset / bs);
+        store_block(wkey, a.data, /*dirty=*/true);
+        if (host_.memcpy_charged()) co_await host_.memcpy_cost(a.data.size());
         spawn_cache_store(a.fh.fileid, a.offset / bs, a.data.size());
         // Update the locally-known attributes.
         auto at = attrs_.find(a.fh.fileid);
@@ -1591,36 +1413,26 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         res.committed = nfs::StableHow::kFileSync;  // durable in disk cache
         res.verf = 0x53474653;
         if (at != attrs_.end()) res.post_attrs = at->second.attrs;
-        xdr::Encoder enc;
-        res.encode(enc);
+        BufChain reply = encode_xdr(res);
         co_await evict_if_needed();
-        co_return enc.take();
+        co_return reply;
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WriteRes::decode(rdec);
-      if (res.status == Status::kOk) {
-        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
-          reply = encode_res(res);
-        }
-        remember(a.fh, res.post_attrs);
-      }
+      auto res = decode_xdr<nfs::WriteRes>(reply);
+      settle(reply, res, &nfs::WriteRes::post_attrs, a.fh);
       co_return reply;
     }
 
     case Proc3::kCommit: {
+      // (During bypass, WRITEs went through to the server UNSTABLE, so the
+      // COMMIT barrier must reach the server too.)
       if (config_.cache.write_back && config_.cache.cache_data &&
-          (!config_.cache.encryption ||
-           cache_breaker_.state() != TrustBreaker::State::kOpen)) {
-        // (During bypass, WRITEs went through to the server UNSTABLE, so
-        // the COMMIT barrier must reach the server too.)
+          !cache_bypassed()) {
         // Data is durable in the proxy's disk cache; the real write-back
         // happens at flush() (end of session) or under eviction pressure.
         nfs::CommitRes res;
         res.verf = 0x53474653;
-        xdr::Encoder enc;
-        res.encode(enc);
-        co_return enc.take();
+        co_return encode_xdr(res);
       }
       co_return co_await forward(ctx, args);
     }
@@ -1645,17 +1457,12 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
         name = a.name;
       }
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::CreateRes::decode(rdec);
+      auto res = decode_xdr<nfs::CreateRes>(reply);
       // A create invalidates the cached listing but not sibling names.
       dir_cache_.erase(dir.fileid);
-      if (res.status == Status::kOk) {
-        // A non-exclusive create of a file this cache holds dirty blocks
-        // of answers with the server's (older, shorter) attributes.
-        if (raise_size(res.attrs, dirty_extent(res.fh.fileid))) {
-          reply = encode_res(res);
-        }
-        remember(res.fh, res.attrs);
+      // A non-exclusive create of a file this cache holds dirty blocks of
+      // answers with the server's (older, shorter) attributes.
+      if (settle(reply, res, &nfs::CreateRes::attrs, res.fh)) {
         remember(dir, res.dir_attrs);
         if (config_.cache.cache_names) {
           nfs::LookupRes lr;
@@ -1669,112 +1476,99 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
 
     case Proc3::kRemove:
     case Proc3::kRmdir: {
-      xdr::Decoder dec(args);
-      auto a = nfs::DiropArgs::decode(dec);
+      auto a = decode_xdr<nfs::DiropArgs>(args);
       // Identify the victim before forwarding so pending write-backs can be
       // cancelled (paper §6.3.2).
       // (A sealed entry that fails its MAC leaves the victim unknown: the
       // pending write-backs then flush normally — safe, just not optimal.)
-      std::optional<uint64_t> victim;
-      if (auto hit = name_get(a.dir.fileid, a.name)) {
-        victim = hit->fh.fileid;
-      }
+      auto victim = name_get(a.dir.fileid, a.name);
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
+      auto res = decode_xdr<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
         dir_cache_.erase(a.dir.fileid);
         names_.erase({a.dir.fileid, a.name});
         remember(a.dir, res.post_attrs);
-        if (victim) drop_file(*victim);
+        if (victim) unlink_name(*victim);
       }
       co_return reply;
     }
 
     case Proc3::kRename: {
-      xdr::Decoder dec(args);
-      auto a = nfs::RenameArgs::decode(dec);
+      auto a = decode_xdr<nfs::RenameArgs>(args);
+      // A rename over an existing name unlinks its file, like REMOVE —
+      // unless both names link the same file, which the vfs leaves as is.
+      auto moved = name_get(a.from_dir.fileid, a.from_name);
+      auto target = name_get(a.to_dir.fileid, a.to_name);
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
+      auto res = decode_xdr<nfs::WccRes>(reply);
+      if (res.status != Status::kOk ||
+          (moved && target && moved->fh.fileid == target->fh.fileid)) {
+        co_return reply;
+      }
+      dir_cache_.erase(a.from_dir.fileid);
+      dir_cache_.erase(a.to_dir.fileid);
+      names_.erase({a.from_dir.fileid, a.from_name});
+      if (moved) {
+        name_put(a.to_dir.fileid, a.to_name, *moved);
+      } else {
+        names_.erase({a.to_dir.fileid, a.to_name});
+      }
+      // With the moved file unknown, a target with other links may be that
+      // very file: only a target known to lose its last link is unlinked.
+      if (target && (moved || last_link(*target))) unlink_name(*target);
+      co_return reply;
+    }
+
+    case Proc3::kLink: {
+      auto a = decode_xdr<nfs::LinkArgs>(args);
+      BufChain reply = co_await forward(ctx, args);
+      auto res = decode_xdr<nfs::WccRes>(reply);
       if (res.status == Status::kOk) {
-        dir_cache_.erase(a.from_dir.fileid);
-        dir_cache_.erase(a.to_dir.fileid);
-        if (auto moved = name_get(a.from_dir.fileid, a.from_name)) {
-          names_.erase({a.from_dir.fileid, a.from_name});
-          name_put(a.to_dir.fileid, a.to_name, *moved);
-        } else {
-          names_.erase({a.to_dir.fileid, a.to_name});
+        // The reply carries only the directory's attributes: count the new
+        // link here, so unlinking one name keeps the file's write-backs.
+        auto at = attrs_.find(a.file.fileid);
+        if (at != attrs_.end()) ++at->second.attrs.nlink;
+        dir_cache_.erase(a.dir.fileid);
+        if (config_.cache.cache_names) {
+          nfs::LookupRes lr;
+          lr.fh = a.file;
+          if (at != attrs_.end()) lr.attrs = at->second.attrs;
+          name_put(a.dir.fileid, a.name, lr);
         }
       }
       co_return reply;
     }
 
     case Proc3::kSetattr: {
-      xdr::Decoder dec(args);
-      auto a = nfs::SetattrArgs::decode(dec);
+      auto a = decode_xdr<nfs::SetattrArgs>(args);
       BufChain reply = co_await forward(ctx, args);
-      xdr::Decoder rdec(reply);
-      auto res = nfs::WccRes::decode(rdec);
-      if (res.status == Status::kOk) {
-        if (a.sattr.size) {
-          // Truncate: drop cached blocks beyond the new size.
-          const uint64_t keep_blocks = (*a.sattr.size + bs - 1) / bs;
-          auto it = blocks_.lower_bound({a.fh.fileid, keep_blocks});
-          while (it != blocks_.end() && it->first.first == a.fh.fileid) {
-            if (it->second.dirty) {
-              cancelled_writeback_bytes_ += it->second.valid;
-              auto ds = dirty_.find(a.fh.fileid);
-              if (ds != dirty_.end()) ds->second.erase(it->first.second);
-            }
-            cache_bytes_used_ -= bs;
-            lru_.erase(it->second.lru);
-            it = blocks_.erase(it);
-          }
-          auto sh = uncommitted_.lower_bound({a.fh.fileid, keep_blocks});
-          while (sh != uncommitted_.end() &&
-                 sh->first.first == a.fh.fileid) {
-            sh = uncommitted_.erase(sh);
-          }
-          auto ds = dirty_.find(a.fh.fileid);
-          if (ds != dirty_.end() && ds->second.empty()) {
-            dirty_.erase(ds);
-          }
-          // The boundary block keeps only the bytes below the new size, so
-          // neither its write-back nor dirty_extent() resurrects the tail.
-          if (keep_blocks > 0) {
-            auto edge = blocks_.find({a.fh.fileid, keep_blocks - 1});
-            if (edge != blocks_.end()) {
-              edge->second.valid = static_cast<uint32_t>(std::min<uint64_t>(
-                  edge->second.valid, *a.sattr.size - (keep_blocks - 1) * bs));
-            }
-          }
-          assert(cache_accounting_consistent());
+      auto res = decode_xdr<nfs::WccRes>(reply);
+      if (res.status == Status::kOk && a.sattr.size) {
+        // Truncate: drop cached blocks beyond the new size.  The boundary
+        // block keeps only the bytes below it, so neither its write-back
+        // nor dirty_extent() resurrects the tail.
+        const uint64_t keep_blocks = (*a.sattr.size + bs - 1) / bs;
+        drop_blocks(a.fh.fileid, keep_blocks);
+        auto edge = blocks_.find({a.fh.fileid, keep_blocks - 1});
+        if (keep_blocks > 0 && edge != blocks_.end()) {
+          edge->second.valid = static_cast<uint32_t>(std::min<uint64_t>(
+              edge->second.valid, *a.sattr.size - (keep_blocks - 1) * bs));
         }
-        if (raise_size(res.post_attrs, dirty_extent(a.fh.fileid))) {
-          reply = encode_res(res);
-        }
-        remember(a.fh, res.post_attrs);
       }
+      settle(reply, res, &nfs::WccRes::post_attrs, a.fh);
       co_return reply;
     }
 
     case Proc3::kReaddir:
     case Proc3::kReaddirplus: {
-      xdr::Decoder dec(args);
-      auto a = nfs::ReaddirArgs::decode(dec);
+      auto a = decode_xdr<nfs::ReaddirArgs>(args);
       if (config_.cache.cache_dirs && a.cookie == 0) {
         auto hit = dir_cache_.find(a.dir.fileid);
-        if (hit != dir_cache_.end()) {
-          xdr::Encoder enc;
-          hit->second.encode(enc);
-          co_return enc.take();
-        }
+        if (hit != dir_cache_.end()) co_return encode_xdr(hit->second);
       }
       BufChain reply = co_await forward(ctx, args);
       if (config_.cache.cache_dirs && a.cookie == 0) {
-        xdr::Decoder rdec(reply);
-        auto res = nfs::ReaddirRes::decode(rdec);
+        auto res = decode_xdr<nfs::ReaddirRes>(reply);
         if (res.status == Status::kOk && res.eof) {
           for (const auto& entry : res.entries) {
             if (entry.fh && entry.attrs) {

@@ -10,8 +10,9 @@
 //   - write-back: WRITE and COMMIT are absorbed locally (durable in the
 //     disk cache) and propagated on flush() — end-of-session write-back is
 //     what Figures 9/10 report separately;
-//   - REMOVE cancels pending write-backs of the victim ("only the final
-//     results are written back, not the temporary data", §6.3.2);
+//   - REMOVE (or RENAME over a file) cancels the pending write-backs of a
+//     file that loses its last link ("only the final results are written
+//     back, not the temporary data", §6.3.2);
 //   - the session's security configuration can be reloaded and the SSL
 //     session key renegotiated in-band, manually or on a timer (§4.2).
 //
@@ -194,6 +195,17 @@ class ClientProxy : public rpc::RpcProgram,
   /// counters into the proxy totals first.
   void drop_upstream();
   sim::Task<BufChain> forward(const rpc::CallContext& ctx, BufChain args);
+  /// Sends a call the proxy makes on its own (write-back, replay, COMMIT)
+  /// under the job account's last credentials and decodes the reply.
+  template <class Res, class Args>
+  sim::Task<Res> call_upstream(nfs::Proc3 proc, const Args& args);
+  /// Post-forward step for replies that carry file attributes: on success,
+  /// raises `res.*attrs` to the file's dirty extent (the server has not
+  /// seen absorbed writes), re-encodes `reply` if the size moved, and
+  /// remembers the attributes when `keep`.  Returns true on success.
+  template <class Res, class Attrs>
+  bool settle(BufChain& reply, Res& res, Attrs Res::*attrs, const nfs::Fh& fh,
+              bool keep = true);
   sim::Task<void> cache_disk_io(uint64_t fileid, uint64_t block,
                                 size_t bytes, bool write);
   void spawn_cache_store(uint64_t fileid, uint64_t block, size_t bytes);
@@ -204,9 +216,18 @@ class ClientProxy : public rpc::RpcProgram,
   /// writes the server has not seen, so a size it reports is at least this.
   uint64_t dirty_extent(uint64_t fileid) const;
   void drop_file(uint64_t fileid);
-  void invalidate_dir(uint64_t dir_fileid);
+  /// One name of `victim` is gone (REMOVE, RMDIR, RENAME over it).  The
+  /// file goes, with its pending write-backs, only when it is known to
+  /// lose its last link; otherwise the cached link count drops by one.
+  void unlink_name(const nfs::LookupRes& victim);
+  bool last_link(const nfs::LookupRes& victim) const;
+  /// Erases the file's resident blocks and replay shadows from `first` on.
+  void drop_blocks(uint64_t fileid, uint64_t first);
   Block& put_block(uint64_t fileid, uint64_t block);
   sim::Task<void> evict_if_needed();
+  /// Reads a dirty block back from the cache disk and copies out its
+  /// verified bytes; nullopt when it is gone, clean, or failed to verify.
+  sim::Task<std::optional<BufChain>> snapshot_dirty(const BlockKey& key);
   sim::Task<void> writeback_block(uint64_t fileid, uint64_t block,
                                   bool file_sync);
   /// Striped readahead on an aligned READ miss: fetches
@@ -228,14 +249,28 @@ class ClientProxy : public rpc::RpcProgram,
   // server restarted mid-flush) — the caller must retry its COMMIT.
   sim::Task<bool> note_upstream_verf(uint64_t verf);
   sim::Task<void> replay_uncommitted();
-  void drop_shadows(uint64_t fileid);
+  void drop_shadows(uint64_t fileid, uint64_t first = 0);
 
-  // --- sealed-cache helpers (encryption on; DESIGN.md §15) ---------------
+  // --- at-rest block format (DESIGN.md §15) --------------------------------
+  // The only two places that know whether a block rests as plaintext or as
+  // a sealed blob; every data path reads and writes blocks through them.
+  /// The verified plaintext of resident block `key`: its at-rest bytes in a
+  /// plaintext cache, else the sealed blob opened into `scratch`.  On a MAC
+  /// failure the failure is recorded (it may trip the breaker), the block
+  /// is poison-evicted and nullopt returned.  The view lives until the next
+  /// cache mutation.
+  std::optional<ByteView> open_block(const BlockKey& key, Buffer& scratch);
+  /// Overlays `bytes` on the head of block `key` (over its opened contents,
+  /// zeros if absent or failed), raises its valid length, marks it dirty
+  /// when `dirty`, and stores it in the at-rest format.  A clean fill whose
+  /// old blob failed and tripped the breaker into bypass stores nothing
+  /// and returns false.
+  bool store_block(const BlockKey& key, const BufChain& bytes, bool dirty);
+  /// Opens every resident dirty block (the only copy of absorbed writes)
+  /// in the current format, as full block_size plaintexts.
+  std::vector<std::pair<BlockKey, Buffer>> open_dirty_blocks();
   /// Per-file sealing keys under the current cache master (memoized).
   const crypto::SealKeys& seal_keys(uint64_t fileid);
-  /// Opens a block's at-rest blob against its trusted generation; nullopt
-  /// means the scratch disk lied (tamper/truncate/splice/rollback).
-  std::optional<Buffer> unseal(const Block& b, const BlockKey& key);
   /// Seals `plaintext` (a full block_size staging buffer) into the block at
   /// a fresh generation.
   void seal_into(Block& b, const BlockKey& key, ByteView plaintext);
@@ -244,10 +279,15 @@ class ClientProxy : public rpc::RpcProgram,
   /// Records a verify failure in the degradation window; may trip the
   /// breaker into bypass.
   void note_verify_failure();
-  /// Erases one block with full accounting (LRU, bytes, dirty set).
+  /// Erases one block, counted as a poison eviction.
   void poison_evict(const BlockKey& key);
-  /// Unlinks a block from blocks_/lru_ and returns its capacity charge.
-  void erase_block(std::map<BlockKey, Block>::iterator it);
+  /// The one erase path: unlinks a block from blocks_/lru_, returns its
+  /// capacity charge, and cancels its write-back if it was dirty.  Returns
+  /// the next block.
+  std::map<BlockKey, Block>::iterator erase_block(
+      std::map<BlockKey, Block>::iterator it);
+  /// Clears a block's dirty flag and its entry in the dirty set.
+  void mark_clean(const BlockKey& key);
   /// Drops every clean resident block (stale-keyed or poison-suspect data
   /// must not be served); dirty blocks are left in place.
   void purge_clean_blocks();

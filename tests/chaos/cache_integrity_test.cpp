@@ -536,6 +536,111 @@ TEST(CacheAccountingInvariant, HoldsAcrossPoisonLruUnlinkAndTruncate) {
       << tb.client_proxy()->resident_blocks();
 }
 
+// --- at-rest format equivalence ----------------------------------------------
+
+// The at-rest format is invisible above the scratch disk: one op sequence
+// (write, partial overwrite, read-back, truncate inside a block, remove,
+// flush) yields the same bytes and the same cache counters with the
+// plaintext and the sealed cache, over the origin fill (K=1) and the striped
+// fill (K=4).
+struct FormatRun {
+  Buffer src_back;  // second read of a preloaded file (fill, then hits)
+  Buffer dst_back;  // read-back of the overwritten, truncated file
+  Buffer dst_server;
+  uint64_t absorbed_reads = 0;
+  uint64_t absorbed_writes = 0;
+  uint64_t flushed = 0;
+  uint64_t cancelled = 0;
+};
+
+FormatRun run_format_sequence(bool encryption, int streams) {
+  TestbedOptions opt;
+  opt.kind = SetupKind::kSgfs;
+  opt.cipher = crypto::Cipher::kNull;
+  opt.proxy_disk_cache = true;
+  opt.proxy_write_back = true;
+  opt.cache_encryption = encryption;
+  opt.pool.streams = streams;
+  opt.pool.chunk_bytes = 2 * kBlock;
+  opt.wan_rtt = 10 * sim::kMillisecond;
+  opt.client_mem_bytes = 2 * kBlock;
+  Testbed tb(opt);
+  tb.preload_file("src.bin", 8 * kBlock, /*warm=*/true, /*content_seed=*/41);
+  FormatRun run;
+  tb.engine().run_task([](Testbed& tb, FormatRun& run) -> Task<void> {
+    auto mp = co_await tb.mount();
+    int fd = co_await mp->open("src.bin", nfs::kRdOnly);
+    co_await read_range(*mp, fd, 0, run.src_back, 8 * kBlock);
+    mp->drop_caches();
+    co_await read_range(*mp, fd, 0, run.src_back, 8 * kBlock);
+    co_await mp->close(fd);
+
+    Rng rng(77);
+    fd = co_await mp->open("dst.bin", nfs::kRdWr | nfs::kCreate);
+    co_await mp->pwrite(fd, 0, rng.bytes(3 * kBlock + 1000));
+    co_await mp->pwrite(fd, kBlock + 100, rng.bytes(500));
+    co_await mp->close(fd);
+    co_await mp->flush_all();
+    co_await mp->truncate("dst.bin", 2 * kBlock + 300);
+    mp->drop_caches();
+    fd = co_await mp->open("dst.bin", nfs::kRdOnly);
+    co_await read_range(*mp, fd, 0, run.dst_back, 4 * kBlock);
+    co_await mp->close(fd);
+
+    fd = co_await mp->open("tmp.bin", nfs::kWrOnly | nfs::kCreate);
+    co_await mp->pwrite(fd, 0, rng.bytes(2 * kBlock));
+    co_await mp->close(fd);
+    co_await mp->flush_all();
+    co_await mp->unlink("tmp.bin");
+    co_await tb.flush_session();
+  }(tb, run));
+  EXPECT_TRUE(tb.engine().errors().empty())
+      << (tb.engine().errors().empty() ? "" : tb.engine().errors()[0]);
+  run.dst_server =
+      tb.server_fs()
+          .read_file(vfs::Cred(0, 0), std::string(Testbed::kDataPath) +
+                                          "/dst.bin")
+          .value;
+  auto* proxy = tb.client_proxy();
+  run.absorbed_reads = proxy->absorbed_reads();
+  run.absorbed_writes = proxy->absorbed_writes();
+  run.flushed = proxy->flushed_bytes();
+  run.cancelled = proxy->cancelled_writeback_bytes();
+  return run;
+}
+
+class CacheFormatEquivalence : public ::testing::TestWithParam<int> {};
+
+TEST_P(CacheFormatEquivalence, SealedMatchesPlaintext) {
+  const FormatRun plain = run_format_sequence(false, GetParam());
+  const FormatRun sealed = run_format_sequence(true, GetParam());
+  Rng rng(77);  // the sequence's write payloads
+  Buffer model = rng.bytes(3 * kBlock + 1000);
+  const Buffer overwrite = rng.bytes(500);
+  std::copy(overwrite.begin(), overwrite.end(), model.begin() + kBlock + 100);
+  model.resize(2 * kBlock + 300);
+  EXPECT_EQ(plain.src_back, preload_oracle(8 * kBlock, 41));
+  EXPECT_EQ(plain.dst_back, model);
+  EXPECT_EQ(plain.dst_server, model);
+  EXPECT_GT(plain.absorbed_reads, 0u);
+  EXPECT_GT(plain.absorbed_writes, 0u);
+  EXPECT_GE(plain.cancelled, 2 * kBlock);
+
+  EXPECT_EQ(sealed.src_back, plain.src_back);
+  EXPECT_EQ(sealed.dst_back, plain.dst_back);
+  EXPECT_EQ(sealed.dst_server, plain.dst_server);
+  EXPECT_EQ(sealed.absorbed_reads, plain.absorbed_reads);
+  EXPECT_EQ(sealed.absorbed_writes, plain.absorbed_writes);
+  EXPECT_EQ(sealed.flushed, plain.flushed);
+  EXPECT_EQ(sealed.cancelled, plain.cancelled);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OriginAndStripedFill, CacheFormatEquivalence, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+      return "K" + std::to_string(info.param);
+    });
+
 // --- mid-session reconfiguration ---------------------------------------------
 
 // Toggling cache_encryption and shrinking the capacity through reload()

@@ -344,6 +344,84 @@ TEST(Sgfs, RemoveCancelsPendingWriteback) {
   }(grid));
 }
 
+// Writes `bytes` of `fill` to a new file; the data stays dirty in the proxy.
+Task<void> write_dirty(nfs::MountPoint& mp, const std::string& name,
+                       size_t bytes, uint8_t fill) {
+  int fd = co_await mp.open(name, nfs::kWrOnly | nfs::kCreate);
+  co_await mp.write(fd, Buffer(bytes, fill));
+  co_await mp.close(fd);
+}
+
+Buffer server_file(Grid& grid, const std::string& name) {
+  return grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/" + name).value;
+}
+
+// The vfs frees a file only with its last link: unlinking one of two hard
+// links must keep the file's unflushed data.  Without an attribute cache
+// the proxy cannot count links, so it keeps the write-backs.
+TEST(Sgfs, UnlinkOfHardLinkKeepsPendingWriteback) {
+  for (bool cache_attrs : {true, false}) {
+    SCOPED_TRACE(cache_attrs ? "attribute cache on" : "attribute cache off");
+    CacheConfig cache;
+    cache.cache_attrs = cache_attrs;
+    Grid grid(pki().alice, cache);
+    grid.eng.run_task([](Grid& grid, bool counted) -> Task<void> {
+      auto mp = co_await grid.mount_session();
+      co_await write_dirty(*mp, "a", 64 * 1024, 0x61);
+      co_await mp->link("a", "b");
+      co_await mp->unlink("a");
+      EXPECT_EQ(grid.client_proxy->cancelled_writeback_bytes(), 0u);
+      co_await grid.client_proxy->flush();
+      EXPECT_EQ(server_file(grid, "b"), Buffer(64 * 1024, 0x61));
+      if (!counted) co_return;
+
+      // Unlinking the last name does cancel.
+      co_await write_dirty(*mp, "c", 32 * 1024, 0x63);
+      co_await mp->link("c", "d");
+      co_await mp->unlink("c");
+      co_await mp->unlink("d");
+      EXPECT_EQ(grid.client_proxy->cancelled_writeback_bytes(), 32u * 1024);
+      EXPECT_EQ(grid.client_proxy->dirty_bytes(), 0u);
+    }(grid, cache_attrs));
+    EXPECT_TRUE(grid.eng.errors().empty());
+  }
+}
+
+// RENAME over an existing file unlinks it: its pending write-back is
+// cancelled, like REMOVE's, and only the moved file's data crosses the WAN.
+TEST(Sgfs, RenameOverFileCancelsReplacedWriteback) {
+  Grid grid(pki().alice);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    co_await write_dirty(*mp, "a", 64 * 1024, 0x61);
+    co_await write_dirty(*mp, "b", 32 * 1024, 0x62);
+    co_await mp->rename("b", "a");
+    EXPECT_EQ(grid.client_proxy->cancelled_writeback_bytes(), 64u * 1024);
+    co_await grid.client_proxy->flush();
+    EXPECT_EQ(grid.client_proxy->flushed_bytes(), 32u * 1024);
+    EXPECT_EQ(server_file(grid, "a"), Buffer(32 * 1024, 0x62));
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
+// A rename onto another link of the same file changes nothing in the vfs,
+// so it must cancel nothing either.
+TEST(Sgfs, RenameOntoOwnHardLinkCancelsNothing) {
+  Grid grid(pki().alice);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    auto mp = co_await grid.mount_session();
+    co_await write_dirty(*mp, "a", 64 * 1024, 0x61);
+    co_await mp->link("a", "b");
+    co_await mp->rename("b", "a");
+    EXPECT_EQ(grid.client_proxy->cancelled_writeback_bytes(), 0u);
+    co_await grid.client_proxy->flush();
+    EXPECT_EQ(grid.client_proxy->flushed_bytes(), 64u * 1024);
+    EXPECT_EQ(server_file(grid, "a"), Buffer(64 * 1024, 0x61));
+    EXPECT_EQ(server_file(grid, "b"), Buffer(64 * 1024, 0x61));
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
 TEST(Sgfs, ProxyCacheServesAfterKernelCacheDrop) {
   Grid grid(pki().alice);
   grid.fs->write_file(vfs::Cred(0, 0), "/GFS/alice/data.bin",
@@ -438,6 +516,82 @@ TEST(Sgfs, ReloadSwitchesCipherSuite) {
         grid.fs->read_file(vfs::Cred(0, 0), "/GFS/alice/rc4.txt");
     EXPECT_EQ(sgfs::to_string(content.value), "reconfigured");
   }(grid));
+}
+
+// ServerProxy::reload applies a new gridmap to live sessions at once: the
+// session of a DN the reload drops fails closed on its next op (RpcAuthError
+// at its client proxy, which then holds no cached plaintext), while the
+// other session keeps working.
+TEST(Sgfs, ServerReloadFailsDroppedSessionClosed) {
+  Grid grid(pki().alice);
+  grid.fs->write_file(vfs::Cred(0, 0), "/GFS/alice/shared.bin",
+                      Buffer(64 * 1024, 0x33), 0644);
+  auto policy = [](bool with_bob) {
+    ServerProxyConfig c;
+    c.gridmap.add("/O=UFL/CN=alice", "alice");
+    if (with_bob) c.gridmap.add("/O=UFL/CN=bob", "alice");
+    c.accounts.add(Account("alice", Grid::kAliceUid, Grid::kAliceUid));
+    c.accounts.add(Account("nobody", 65534, 65534));
+    return c;
+  };
+  grid.server_proxy->reload(policy(true));
+
+  // Bob's session runs from a second compute host.
+  net::Host& compute2 = grid.net.add_host("compute2");
+  ClientProxyConfig bcfg;
+  bcfg.security.credential = pki().bob;
+  bcfg.security.trusted = {pki().ca.root()};
+  bcfg.server_proxy = net::Address("fileserver", 3049);
+  auto bob = std::make_shared<ClientProxy>(compute2, bcfg, Rng(705));
+  bob->start(2049);
+
+  grid.eng.run_task([](Grid& grid, net::Host& compute2,
+                       std::shared_ptr<ClientProxy> bob,
+                       ServerProxyConfig without_bob) -> Task<void> {
+    auto alice_mp = co_await grid.mount_session();
+    auto bob_mp = co_await nfs::MountPoint::mount(
+        compute2, net::Address("compute2", 2049), "/GFS/alice",
+        rpc::AuthSys(1000, 1000, "compute2"));
+    // Bob caches a clean file and holds an absorbed write.
+    Buffer buf(64 * 1024);
+    int fd = co_await bob_mp->open("shared.bin", nfs::kRdOnly);
+    co_await bob_mp->read(fd, buf);
+    co_await bob_mp->close(fd);
+    fd = co_await bob_mp->open("bob.txt", nfs::kWrOnly | nfs::kCreate);
+    co_await bob_mp->write(fd, to_bytes("bob's output"));
+    co_await bob_mp->close(fd);
+    EXPECT_GT(bob->resident_blocks(), 0u);
+    EXPECT_GT(bob->dirty_bytes(), 0u);
+
+    grid.server_proxy->reload(without_bob);
+
+    bool denied = false;
+    try {
+      co_await bob->flush();
+    } catch (const rpc::RpcAuthError&) {
+      denied = true;
+    }
+    EXPECT_TRUE(denied);
+    EXPECT_EQ(bob->resident_blocks(), 0u);
+    EXPECT_EQ(bob->cache_bytes_used(), 0u);
+    EXPECT_EQ(bob->dirty_bytes(), 0u);
+    EXPECT_EQ(grid.eng.metrics().counter_value(
+                  "sgfs.cache.revocation_purges"), 1u);
+
+    // Alice's session is unaffected.
+    fd = co_await alice_mp->open("alice.txt", nfs::kWrOnly | nfs::kCreate);
+    co_await alice_mp->write(fd, to_bytes("alice's output"));
+    co_await alice_mp->close(fd);
+    co_await grid.client_proxy->flush();
+    EXPECT_EQ(sgfs::to_string(server_file(grid, "alice.txt")),
+              "alice's output");
+    fd = co_await alice_mp->open("shared.bin", nfs::kRdOnly);
+    const size_t got = co_await alice_mp->read(fd, buf);
+    EXPECT_EQ(got, buf.size());
+    co_await alice_mp->close(fd);
+    EXPECT_EQ(buf, Buffer(64 * 1024, 0x33));
+  }(grid, compute2, bob, policy(false)));
+  EXPECT_TRUE(grid.eng.errors().empty());
 }
 
 // --- metrics-asserted behaviour -------------------------------------------------
