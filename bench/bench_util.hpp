@@ -3,13 +3,18 @@
 // Every bench binary prints: the measured (simulated) values, the paper's
 // reported values where the paper gives numbers, and the ratio checks the
 // text calls out.  Flags: --full reproduces paper-size workloads; --runs=N
-// repeats with different seeds and reports mean ± stddev.
+// repeats with different seeds and reports mean ± stddev.  Each bench names
+// the flags it reads; any other argument exits 2 with that list.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bufchain.hpp"
@@ -24,24 +29,34 @@ struct Flags {
   int runs = 1;
   std::map<std::string, std::string> raw;
 
-  static Flags parse(int argc, char** argv) {
+  /// Parses `--name` and `--name=value` arguments; `accepted` lists every
+  /// name the bench reads.  An unknown flag or a positional argument (a
+  /// typo would otherwise silently run the defaults) exits with status 2.
+  static Flags parse(int argc, char** argv,
+                     std::initializer_list<std::string_view> accepted) {
     Flags flags;
     for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg == "--full") {
-        flags.full = true;
-      } else if (arg.rfind("--runs=", 0) == 0) {
-        flags.runs = std::atoi(arg.c_str() + 7);
-        if (flags.runs < 1) flags.runs = 1;
-      } else if (arg.rfind("--", 0) == 0) {
-        auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-          flags.raw[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else {
-          flags.raw[arg.substr(2)] = "1";
+      const std::string arg = argv[i];
+      const size_t eq = arg.find('=');
+      const bool is_flag = arg.rfind("--", 0) == 0;
+      const std::string name =
+          is_flag ? arg.substr(2, eq == std::string::npos ? eq : eq - 2) : "";
+      if (std::find(accepted.begin(), accepted.end(), name) ==
+          accepted.end()) {
+        std::fprintf(stderr, "%s: unknown argument '%s'; accepted:", argv[0],
+                     arg.c_str());
+        for (std::string_view a : accepted) {
+          std::fprintf(stderr, " --%.*s", static_cast<int>(a.size()),
+                       a.data());
         }
+        std::fprintf(stderr, "\n");
+        std::exit(2);
       }
+      flags.raw[name] = eq == std::string::npos ? "1" : arg.substr(eq + 1);
     }
+    flags.full = flags.raw.count("full") > 0;
+    flags.runs = static_cast<int>(std::max<int64_t>(flags.get_int("runs", 1),
+                                                    1));
     return flags;
   }
 

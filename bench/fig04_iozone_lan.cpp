@@ -53,7 +53,8 @@ double run_one(TestbedOptions opts, uint64_t file_bytes, uint64_t client_mem,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(
+      argc, argv, {"json", "trace", "full", "runs", "file-mb", "memcpy-gbps"});
   const uint64_t file_bytes =
       flags.get_int("file-mb", flags.full ? 512 : 128) << 20;
   const uint64_t client_mem = file_bytes / 2;  // paper ratio: 512MB vs 256MB

@@ -95,7 +95,7 @@ RunOut run_bulk(const TestbedOptions& opt, uint64_t bytes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Flags::parse(argc, argv);
+  Flags flags = Flags::parse(argc, argv, {"json", "quick", "bytes"});
   JsonReport json(flags, "wanstream");
   (void)json;
   const bool quick = flags.raw.count("quick") > 0;

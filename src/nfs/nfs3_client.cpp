@@ -779,12 +779,6 @@ sim::Task<size_t> MountPoint::write(int fd, ByteView data) {
   co_return n;
 }
 
-sim::Task<vfs::Attributes> MountPoint::fstat(int fd) {
-  auto it = open_files_.find(fd);
-  if (it == open_files_.end()) throw FsError(Status::kInval);
-  co_return co_await getattr(it->second.fh, false);
-}
-
 sim::Task<vfs::Attributes> MountPoint::stat(const std::string& path) {
   Fh fh = co_await walk(path);
   co_return co_await getattr(fh, false);
@@ -818,16 +812,6 @@ sim::Task<void> MountPoint::chmod(const std::string& path, uint32_t mode) {
   co_await charge(Proc3::kSetattr);
   vfs::SetAttrs sattr;
   sattr.mode = mode;
-  WccRes res = co_await ops_->setattr(fh, sattr);
-  throw_if_error(res.status);
-  maybe_remember(fh, res.post_attrs);
-}
-
-sim::Task<void> MountPoint::utimens(const std::string& path, int64_t mtime) {
-  Fh fh = co_await walk(path);
-  co_await charge(Proc3::kSetattr);
-  vfs::SetAttrs sattr;
-  sattr.mtime = mtime;
   WccRes res = co_await ops_->setattr(fh, sattr);
   throw_if_error(res.status);
   maybe_remember(fh, res.post_attrs);

@@ -92,12 +92,10 @@ class MountPoint {
   sim::Task<size_t> pread(int fd, uint64_t offset, MutByteView out);
   sim::Task<size_t> pwrite(int fd, uint64_t offset, ByteView data);
   sim::Task<void> fsync(int fd);
-  sim::Task<vfs::Attributes> fstat(int fd);
   sim::Task<vfs::Attributes> stat(const std::string& path);
   sim::Task<uint32_t> access(const std::string& path, uint32_t want);
   sim::Task<void> truncate(const std::string& path, uint64_t size);
   sim::Task<void> chmod(const std::string& path, uint32_t mode);
-  sim::Task<void> utimens(const std::string& path, int64_t mtime);
   sim::Task<void> mkdir(const std::string& path, uint32_t mode = 0755);
   sim::Task<void> rmdir(const std::string& path);
   sim::Task<void> unlink(const std::string& path);

@@ -92,7 +92,7 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
         config_.retry_budget_ratio, config_.retry_budget_burst);
   }
   if (config_.pool.streams > 1) {
-    pool_ = std::make_unique<StreamPool>(host_, config_, session_mgr_, rng_);
+    pool_ = std::make_unique<StreamPool>(host_, config_, session_mgr_);
   }
 }
 
@@ -877,61 +877,88 @@ sim::Task<Res> ClientProxy::call_upstream(Proc3 proc, const Args& args) {
   co_return decode_xdr<Res>(reply);
 }
 
-sim::Task<std::optional<BufChain>> ClientProxy::snapshot_dirty(
-    const BlockKey& key) {
+sim::Task<bool> ClientProxy::snapshot_dirty(const BlockKey& key,
+                                            Snapshots& snaps) {
   auto it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return std::nullopt;
+  if (it == blocks_.end() || !it->second.dirty) co_return false;
   // Read the block back from the cache disk, then copy it out.
   co_await cache_disk_io(key.first, key.second, it->second.valid,
                          /*write=*/false);
   // The disk read suspended: a concurrent op (poison eviction, truncate,
   // another flush) may have erased the block meanwhile.
   it = blocks_.find(key);
-  if (it == blocks_.end() || !it->second.dirty) co_return std::nullopt;
+  if (it == blocks_.end() || !it->second.dirty) co_return false;
   const size_t len = it->second.valid;
+  const uint64_t stamp = it->second.lru;
   Buffer scratch;
   auto plain = open_block(key, scratch);
   if (!plain) {
     // The scratch disk destroyed the only copy: never push the bytes.
     SGFS_WARN("sgfs-proxy",
               "dirty cache block failed verification; dropping write-back");
-    co_return std::nullopt;
+    co_return false;
   }
   // The kernel client may keep writing into the cached block while the
   // WRITE is in flight, so the upstream payload cannot alias it.  This is
   // the one copy a write-back cache fundamentally needs.
-  BufChain snap = BufChain::copy_of(plain->first(len));
+  snaps[key.second] = {stamp, BufChain::copy_of(plain->first(len))};
   if (host_.memcpy_charged()) co_await host_.memcpy_cost(len);
-  co_return snap;
+  co_return true;
 }
 
 sim::Task<void> ClientProxy::writeback_block(uint64_t fileid, uint64_t block,
                                              bool file_sync) {
-  const BlockKey key{fileid, block};
-  auto snap = co_await snapshot_dirty(key);
-  if (!snap) co_return;
-  nfs::WriteArgs wargs;
-  wargs.fh = Fh(seen_fsid_, fileid);
-  wargs.offset = block * config_.cache.block_size;
-  wargs.stable = file_sync ? nfs::StableHow::kFileSync
-                           : nfs::StableHow::kUnstable;
-  wargs.data = std::move(*snap);
-  const size_t snap_len = wargs.data.size();
-  // Refcounted alias of the snapshot: if this goes out UNSTABLE and the
-  // file server restarts before COMMIT, exactly these bytes are resent.
-  BufChain shadow = wargs.data;
-  auto res = co_await call_upstream<nfs::WriteRes>(Proc3::kWrite, wargs);
-  if (res.status != Status::kOk) {
-    SGFS_WARN("sgfs-proxy", "write-back failed: ",
-              vfs::to_string(res.status));
+  Snapshots snaps;
+  if (!co_await snapshot_dirty({fileid, block}, snaps)) co_return;
+  std::vector<nfs::WriteArgs> sent(1);
+  sent[0].fh = Fh(seen_fsid_, fileid);
+  sent[0].offset = block * config_.cache.block_size;
+  sent[0].stable = file_sync ? nfs::StableHow::kFileSync
+                             : nfs::StableHow::kUnstable;
+  sent[0].data = snaps.at(block).second;
+  std::vector<std::optional<nfs::WriteRes>> replies(1);
+  replies[0] = co_await call_upstream<nfs::WriteRes>(Proc3::kWrite, sent[0]);
+  co_await complete_writeback(sent, replies, snaps);
+}
+
+sim::Task<void> ClientProxy::complete_writeback(
+    const std::vector<nfs::WriteArgs>& sent,
+    const std::vector<std::optional<nfs::WriteRes>>& replies,
+    const Snapshots& snaps) {
+  const size_t bs = config_.cache.block_size;
+  std::vector<uint64_t> verfs;
+  for (size_t i = 0; i < replies.size(); ++i) {
+    if (!replies[i]) continue;  // undelivered: still dirty
+    const nfs::WriteRes& res = *replies[i];
+    if (res.status != Status::kOk) {
+      SGFS_WARN("sgfs-proxy", "write-back failed: ",
+                vfs::to_string(res.status));
+    }
+    // The WRITE carried the snapshots from its first block up to the next
+    // WRITE's first block.
+    auto it = snaps.lower_bound(sent[i].offset / bs);
+    const auto end = i + 1 < sent.size()
+                         ? snaps.lower_bound(sent[i + 1].offset / bs)
+                         : snaps.end();
+    for (; it != end; ++it) {
+      const BlockKey key{sent[i].fh.fileid, it->first};
+      const auto& [stamp, data] = it->second;
+      flushed_bytes_ += data.size();
+      m_flushed_bytes_.inc(data.size());
+      // A WRITE absorbed while this one was in flight stored the block
+      // again (bumping its LRU tick): those bytes have not gone out yet.
+      auto b = blocks_.find(key);
+      if (b != blocks_.end() && b->second.lru == stamp) mark_clean(key);
+      // If this went out UNSTABLE and the file server restarts before
+      // COMMIT, exactly these bytes are resent.
+      if (res.status == Status::kOk &&
+          sent[i].stable == nfs::StableHow::kUnstable) {
+        uncommitted_[key] = data;
+      }
+    }
+    if (res.status == Status::kOk) verfs.push_back(res.verf);
   }
-  flushed_bytes_ += snap_len;
-  m_flushed_bytes_.inc(snap_len);
-  mark_clean(key);
-  if (res.status == Status::kOk) {
-    if (!file_sync) uncommitted_[key] = std::move(shadow);
-    co_await note_upstream_verf(res.verf);
-  }
+  for (uint64_t verf : verfs) co_await note_upstream_verf(verf);
 }
 
 void ClientProxy::drop_shadows(uint64_t fileid, uint64_t first) {
@@ -1033,109 +1060,6 @@ sim::Task<void> ClientProxy::striped_fill(const nfs::ReadArgs& a) {
   }
 }
 
-sim::Task<void> ClientProxy::flush_file_striped(uint64_t fileid) {
-  const size_t bs = config_.cache.block_size;
-  auto ds = dirty_.find(fileid);
-  if (ds == dirty_.end() || ds->second.empty()) co_return;
-  const std::vector<uint64_t> pending(ds->second.begin(), ds->second.end());
-
-  // Per-block snapshot kept for verifier replay (same shadow discipline as
-  // writeback_block, just batched).
-  struct Shadow {
-    uint64_t block = 0;
-    size_t len = 0;
-    BufChain data;
-    Shadow() = default;
-  };
-  struct Batch {
-    StreamPool::WriteBatch wire;
-    std::vector<Shadow> shadows;
-    Batch() = default;
-  };
-  std::vector<Batch> batches;
-  uint64_t prev_block = 0;
-  bool prev_full = false;
-  for (uint64_t block : pending) {
-    // Same read-back and snapshot as the single-stream write-back.
-    auto snap = co_await snapshot_dirty({fileid, block});
-    if (!snap) continue;
-    const size_t len = snap->size();
-    // Coalesce adjacent full blocks into one compound UNSTABLE WRITE; a
-    // short (partially-valid) block may only end a run.
-    const bool extend =
-        !batches.empty() && prev_full && block == prev_block + 1 &&
-        batches.back().wire.data.size() + len <= config_.pool.coalesce_bytes;
-    if (!extend) {
-      Batch b;
-      b.wire.fh = Fh(seen_fsid_, fileid);
-      b.wire.offset = block * bs;
-      batches.push_back(std::move(b));
-    }
-    batches.back().wire.data.append(*snap);
-    Shadow sh;
-    sh.block = block;
-    sh.len = len;
-    sh.data = std::move(*snap);
-    batches.back().shadows.push_back(std::move(sh));
-    prev_block = block;
-    prev_full = len == bs;
-  }
-  if (batches.empty()) co_return;
-
-  std::vector<StreamPool::BatchResult> results;
-  try {
-    co_await ensure_upstream();
-    co_await pool_->ensure_streams(*upstream_nfs_, retry_budget_);
-    std::vector<StreamPool::WriteBatch> wire;
-    wire.reserve(batches.size());
-    for (const Batch& b : batches) wire.push_back(b.wire);
-    std::optional<sim::SimMutex::Guard> guard;
-    if (config_.serialize_forwarding) {
-      guard.emplace(co_await forward_mutex_.scoped());
-    }
-    results = co_await pool_->write_batches(*upstream_nfs_, wire,
-                                            last_client_auth_);
-  } catch (const std::exception& e) {
-    // Everything is still dirty; the serial fallback below delivers it.
-    SGFS_WARN("sgfs-proxy", "pipelined write-back failed: ", e.what());
-    results.clear();
-  }
-
-  // Bookkeeping strictly in batch (= offset) order.  Verifier reactions
-  // are deferred until every batch is accounted for: a replay triggered by
-  // a mid-stripe server restart must see the complete shadow set.
-  std::vector<uint64_t> verfs;
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok) continue;  // stays dirty; re-sent serially below
-    const nfs::WriteRes& res = *results[i].res;
-    if (res.status != Status::kOk) {
-      SGFS_WARN("sgfs-proxy", "striped write-back failed: ",
-                vfs::to_string(res.status));
-    }
-    for (const Shadow& sh : batches[i].shadows) {
-      const BlockKey key{fileid, sh.block};
-      mark_clean(key);
-      flushed_bytes_ += sh.len;
-      m_flushed_bytes_.inc(sh.len);
-      if (res.status == Status::kOk) uncommitted_[key] = sh.data;
-    }
-    if (res.status == Status::kOk) verfs.push_back(res.verf);
-  }
-  for (uint64_t verf : verfs) co_await note_upstream_verf(verf);
-
-  // Undelivered batches (pool exhausted mid-flush) are still dirty: push
-  // them through the reconnecting single-stream path so the flush epoch
-  // always completes.
-  auto rest = dirty_.find(fileid);
-  if (rest != dirty_.end()) {
-    const std::vector<uint64_t> leftover(rest->second.begin(),
-                                         rest->second.end());
-    for (uint64_t block : leftover) {
-      co_await writeback_block(fileid, block, /*file_sync=*/false);
-    }
-  }
-}
-
 sim::Task<void> ClientProxy::evict_if_needed() {
   while (cache_bytes_used_ > config_.cache.capacity_bytes && !lru_.empty()) {
     const uint64_t victim_lru = lru_.begin()->first;
@@ -1160,6 +1084,76 @@ sim::Task<void> ClientProxy::evict_if_needed() {
   assert(cache_accounting_consistent());
 }
 
+sim::Task<void> ClientProxy::flush_file(uint64_t fileid) {
+  const size_t bs = config_.cache.block_size;
+  auto still_dirty = [this, fileid] {
+    auto ds = dirty_.find(fileid);
+    return ds == dirty_.end()
+               ? std::vector<uint64_t>()
+               : std::vector<uint64_t>(ds->second.begin(), ds->second.end());
+  };
+  if (pool_) {
+    Snapshots snaps;
+    for (uint64_t block : still_dirty()) {
+      co_await snapshot_dirty({fileid, block}, snaps);
+    }
+    // Coalesce adjacent full blocks into compound UNSTABLE WRITEs; a short
+    // (partially-valid) block may only end a run.
+    std::vector<nfs::WriteArgs> batches;
+    for (const auto& [block, snap] : snaps) {
+      const BufChain& data = snap.second;
+      const nfs::WriteArgs* run = batches.empty() ? nullptr : &batches.back();
+      if (!run || run->data.size() % bs != 0 ||
+          run->offset + run->data.size() != block * bs ||
+          run->data.size() + data.size() > config_.pool.coalesce_bytes) {
+        batches.emplace_back();
+        batches.back().fh = Fh(seen_fsid_, fileid);
+        batches.back().offset = block * bs;
+        batches.back().stable = nfs::StableHow::kUnstable;
+      }
+      batches.back().data.append(data);
+    }
+    std::vector<std::optional<nfs::WriteRes>> replies;
+    if (!batches.empty()) {
+      try {
+        co_await ensure_upstream();
+        co_await pool_->ensure_streams(*upstream_nfs_, retry_budget_);
+        std::optional<sim::SimMutex::Guard> guard;
+        if (config_.serialize_forwarding) {
+          guard.emplace(co_await forward_mutex_.scoped());
+        }
+        replies = co_await pool_->write_batches(*upstream_nfs_, batches,
+                                                last_client_auth_);
+      } catch (const std::exception& e) {
+        // Everything is still dirty; the serial step below delivers it.
+        SGFS_WARN("sgfs-proxy", "pipelined write-back failed: ", e.what());
+      }
+    }
+    co_await complete_writeback(batches, replies, snaps);
+  }
+  // Serial step: every dirty block without a pool; with one, the batches
+  // it could not deliver and blocks stored again while theirs was in
+  // flight — so the flush epoch always completes.
+  for (uint64_t block : still_dirty()) {
+    co_await writeback_block(fileid, block, /*file_sync=*/false);
+  }
+  // COMMIT until the reply's verifier matches the server instance that
+  // holds the data; a mismatch means a mid-flush restart, which
+  // note_upstream_verf answers by replaying the uncommitted shadows.
+  for (;;) {
+    const nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
+    auto res = co_await call_upstream<nfs::CommitRes>(Proc3::kCommit, cargs);
+    if (res.status != Status::kOk) {
+      SGFS_WARN("sgfs-proxy", "flush COMMIT failed: ",
+                vfs::to_string(res.status));
+      break;
+    }
+    const bool rolled = co_await note_upstream_verf(res.verf);
+    if (!rolled) break;
+  }
+  drop_shadows(fileid);
+}
+
 sim::Task<void> ClientProxy::flush() {
   // Push dirty blocks per file, then COMMIT each file.  Files whose blocks
   // already went upstream UNSTABLE (eviction pressure) but were never
@@ -1167,37 +1161,7 @@ sim::Task<void> ClientProxy::flush() {
   std::set<uint64_t> files;
   for (const auto& [fileid, set] : dirty_) files.insert(fileid);
   for (const auto& [key, chain] : uncommitted_) files.insert(key.first);
-  for (uint64_t fileid : files) {
-    std::vector<uint64_t> pending;
-    auto ds = dirty_.find(fileid);
-    if (ds != dirty_.end()) {
-      pending.assign(ds->second.begin(), ds->second.end());
-    }
-    if (pool_ && !pending.empty()) {
-      // Pipelined write-back over the stream pool; the COMMIT barrier
-      // below is unchanged — one barrier per flush epoch.
-      co_await flush_file_striped(fileid);
-    } else {
-      for (uint64_t block : pending) {
-        co_await writeback_block(fileid, block, /*file_sync=*/false);
-      }
-    }
-    // COMMIT until the reply's verifier matches the server instance that
-    // holds the data; a mismatch means a mid-flush restart, which
-    // note_upstream_verf answers by replaying the uncommitted shadows.
-    for (;;) {
-      const nfs::CommitArgs cargs(Fh(seen_fsid_, fileid), 0, 0);
-      auto res = co_await call_upstream<nfs::CommitRes>(Proc3::kCommit, cargs);
-      if (res.status != Status::kOk) {
-        SGFS_WARN("sgfs-proxy", "flush COMMIT failed: ",
-                  vfs::to_string(res.status));
-        break;
-      }
-      const bool rolled = co_await note_upstream_verf(res.verf);
-      if (!rolled) break;
-    }
-    drop_shadows(fileid);
-  }
+  for (uint64_t fileid : files) co_await flush_file(fileid);
 }
 
 // --- request handling -----------------------------------------------------------
@@ -1307,11 +1271,12 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       for (int pass = 0;; ++pass) {
         auto bit = blocks_.find(rkey);
         auto at = attrs_.find(a.fh.fileid);
-        // During bypass only dirty blocks (the sole copy of absorbed
-        // writes) are served from cache; everything else reads through.
-        if (aligned && bit != blocks_.end() && at != attrs_.end() &&
-            attrs_fresh(at->second) &&
-            (!cache_bypassed() || bit->second.dirty)) {
+        // A dirty block is the only up-to-date copy of its bytes: it is
+        // always served from cache, whatever the attribute cache and the
+        // bypass say.  Clean blocks need fresh attributes and no bypass.
+        const bool fresh = at != attrs_.end() && attrs_fresh(at->second);
+        if (aligned && bit != blocks_.end() &&
+            (bit->second.dirty || (fresh && !cache_bypassed()))) {
           Buffer scratch;
           const uint32_t valid = bit->second.valid;
           auto plain = open_block(rkey, scratch);
@@ -1326,7 +1291,11 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
             }
             ++absorbed_reads_;
             m_absorbed_reads_.inc();
-            const uint64_t size = at->second.attrs.size;
+            // Without cached attributes the dirty extent is a lower bound
+            // on the size, so it never proves EOF.
+            const bool sized = at != attrs_.end();
+            const uint64_t size =
+                sized ? at->second.attrs.size : dirty_extent(a.fh.fileid);
             size_t have =
                 a.offset >= size
                     ? 0
@@ -1341,9 +1310,9 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
             // this coroutine sleeps on the cache disk.
             nfs::ReadRes res;
             res.count = static_cast<uint32_t>(have);
-            res.eof = a.offset + have >= size;
+            res.eof = sized && a.offset + have >= size;
             res.data = BufChain::copy_of(plain->first(have));
-            res.post_attrs = at->second.attrs;
+            if (sized) res.post_attrs = at->second.attrs;
             co_await cache_disk_io(a.fh.fileid, a.offset / bs,
                                    have ? have : 1,
                                    /*write=*/false);
@@ -1368,8 +1337,12 @@ sim::Task<BufChain> ClientProxy::handle(const rpc::CallContext& ctx,
       }
       BufChain reply = co_await forward(ctx, args);
       auto res = decode_xdr<nfs::ReadRes>(reply);
+      // A fill never overlays a dirty block (one may have been absorbed
+      // while this READ was in flight): the server's bytes are older.
+      auto fill = blocks_.find(rkey);
       if (settle(reply, res, &nfs::ReadRes::post_attrs, a.fh, aligned) &&
-          aligned && data_cache_admitting() &&
+          aligned && (fill == blocks_.end() || !fill->second.dirty) &&
+          data_cache_admitting() &&
           store_block(rkey, res.data, /*dirty=*/false)) {
         if (host_.memcpy_charged()) {
           co_await host_.memcpy_cost(res.data.size());

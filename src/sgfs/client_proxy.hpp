@@ -225,23 +225,36 @@ class ClientProxy : public rpc::RpcProgram,
   void drop_blocks(uint64_t fileid, uint64_t first);
   Block& put_block(uint64_t fileid, uint64_t block);
   sim::Task<void> evict_if_needed();
-  /// Reads a dirty block back from the cache disk and copies out its
-  /// verified bytes; nullopt when it is gone, clean, or failed to verify.
-  sim::Task<std::optional<BufChain>> snapshot_dirty(const BlockKey& key);
+  /// Snapshots of dirty blocks by block index: the block's LRU tick when
+  /// its bytes were copied out (every store bumps it), and those bytes.
+  using Snapshots = std::map<uint64_t, std::pair<uint64_t, BufChain>>;
+  /// Reads a dirty block back from the cache disk and copies its verified
+  /// bytes into `snaps`; false when it is gone, clean, or failed to verify.
+  sim::Task<bool> snapshot_dirty(const BlockKey& key, Snapshots& snaps);
+  /// Snapshots one dirty block and WRITEs it upstream on the primary.
   sim::Task<void> writeback_block(uint64_t fileid, uint64_t block,
                                   bool file_sync);
+  /// The one completion step of a write-back, whichever path sent it.  For
+  /// each WRITE in `sent` that got a reply, every block it carried (its
+  /// entries in `snaps`) is counted as flushed, keeps a replay shadow if
+  /// sent UNSTABLE, and is marked clean unless it was stored again after
+  /// its snapshot.  The write verifiers are folded in last, so a replay
+  /// they trigger sees every shadow.
+  sim::Task<void> complete_writeback(
+      const std::vector<nfs::WriteArgs>& sent,
+      const std::vector<std::optional<nfs::WriteRes>>& replies,
+      const Snapshots& snaps);
+  /// Writes one file back and COMMITs it.  With a pool, adjacent dirty
+  /// blocks are coalesced into UNSTABLE batches fanned over the pool
+  /// first; whatever is still dirty then (everything, without a pool) goes
+  /// through writeback_block one block at a time.
+  sim::Task<void> flush_file(uint64_t fileid);
   /// Striped readahead on an aligned READ miss: fetches
   /// config.pool.effective_prefetch() bytes over the pool and populates
   /// whole cache blocks (never overwriting dirty blocks or blocks with
   /// uncommitted shadows).  Failure is non-fatal — the caller falls back
   /// to the single-stream forward path.
   sim::Task<void> striped_fill(const nfs::ReadArgs& a);
-  /// Pipelined write-back for one file: coalesces adjacent dirty blocks
-  /// into compound UNSTABLE batches and fans them over the pool; blocks
-  /// that could not be delivered remain dirty and are pushed through the
-  /// single-stream path afterwards.  The caller still issues the single
-  /// COMMIT barrier per flush epoch.
-  sim::Task<void> flush_file_striped(uint64_t fileid);
   sim::Task<void> renegotiate_loop(std::shared_ptr<bool> alive);
 
   // Write-verifier recovery (RFC 1813 §3.3.21, applied to the proxy's own

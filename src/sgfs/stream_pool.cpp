@@ -5,12 +5,11 @@
 
 namespace sgfs::core {
 
-using nfs::Proc3;
 using nfs::Status;
 
 StreamPool::StreamPool(net::Host& host, const ClientProxyConfig& config,
-                       SessionManager& session, Rng& rng)
-    : host_(host), config_(config), session_(session), rng_(rng) {
+                       SessionManager& session)
+    : host_(host), config_(config), session_(session) {
   auto& m = host.engine().metrics();
   m_striped_reads_ = {m, "sgfs.pool.striped_reads"};
   m_striped_bytes_ = {m, "sgfs.pool.striped_bytes"};
@@ -141,10 +140,8 @@ size_t StreamPool::chunk_len(const ReadJob& job, size_t idx) const {
 }
 
 template <typename JobT>
-sim::Task<void> StreamPool::run_rounds(
-    std::shared_ptr<JobT> job, rpc::RpcClient& primary,
-    sim::Task<void> (StreamPool::*worker)(std::shared_ptr<JobT>,
-                                          rpc::RpcClient*, size_t)) {
+sim::Task<void> StreamPool::run_rounds(std::shared_ptr<JobT> job,
+                                       rpc::RpcClient& primary) {
   // Each round spawns one worker per usable stream; workers pull chunk
   // indices from the shared queue until it drains or their stream dies
   // (the dead worker re-queues its chunk first).  A fresh round picks up
@@ -160,16 +157,15 @@ sim::Task<void> StreamPool::run_rounds(
     job->done.reset();
     job->workers = static_cast<int>(usable.size());
     for (size_t slot : usable) {
-      host_.engine().spawn((this->*worker)(job, &primary, slot));
+      host_.engine().spawn(worker(job, &primary, slot));
     }
     co_await job->done.wait();
   }
 }
 
-sim::Task<void> StreamPool::read_worker(std::shared_ptr<ReadJob> job,
-                                        rpc::RpcClient* primary,
-                                        size_t slot) {
-  auto& metrics = host_.engine().metrics();
+template <typename JobT>
+sim::Task<void> StreamPool::worker(std::shared_ptr<JobT> job,
+                                   rpc::RpcClient* primary, size_t slot) {
   while (!job->aborted && !job->error && !job->queue.empty()) {
     const size_t idx = job->queue.front();
     job->queue.pop_front();
@@ -178,6 +174,7 @@ sim::Task<void> StreamPool::read_worker(std::shared_ptr<ReadJob> job,
       job->queue.push_front(idx);
       break;
     }
+    bool stream_failed = false;
     try {
       if (slots_[slot].delay > 0) {
         co_await host_.engine().sleep(slots_[slot].delay);
@@ -187,63 +184,71 @@ sim::Task<void> StreamPool::read_worker(std::shared_ptr<ReadJob> job,
       } else {
         client->clear_auth();
       }
-      nfs::ReadArgs args(job->fh, job->offset + idx * job->chunk,
-                         static_cast<uint32_t>(chunk_len(*job, idx)));
-      xdr::Encoder enc;
-      args.encode(enc);
       BufChain reply = co_await client->call(
-          static_cast<uint32_t>(Proc3::kRead), enc.take());
+          static_cast<uint32_t>(JobT::kProc), request(*job, idx));
       // Same per-reply processing charge the single-stream forward path
       // pays; concurrent workers serialize on the host CPU resource.
       co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-      xdr::Decoder dec(reply);
-      auto res = nfs::ReadRes::decode(dec);
-      if (res.status != Status::kOk) {
-        if (!job->error) {
-          job->error = std::make_exception_ptr(std::runtime_error(
-              std::string("stream pool: chunk READ status ") +
-              vfs::to_string(res.status)));
-        }
-        break;
-      }
-      m_chunks_.inc();
-      m_striped_bytes_.inc(res.count);
-      slots_[slot].bytes.inc(res.count);
-      job->results[idx].emplace(std::move(res));
-      ++job->completed;
-      metrics.gauge("sgfs.pool.reassembly_depth")
-          .set(static_cast<int64_t>(job->completed - job->next_append));
-      // Advance the strictly-in-order reassembly frontier: every chunk is
-      // appended exactly once, in offset order — no duplication and no
-      // reordering by construction.
-      while (job->next_append < job->results.size() &&
-             job->results[job->next_append]) {
-        auto& r = *job->results[job->next_append];
-        if (!job->eof) {
-          if (r.post_attrs) job->attrs = r.post_attrs;
-          const size_t want = chunk_len(*job, job->next_append);
-          job->assembled.append(std::move(r.data));
-          if (r.eof || r.count < want) job->eof = true;
-        }
-        ++job->next_append;
-      }
-      metrics.gauge("sgfs.pool.reassembly_depth")
-          .set(static_cast<int64_t>(job->completed - job->next_append));
+      if (!accept(*job, idx, reply, slot)) break;
     } catch (const rpc::RpcTimeout&) {
-      job->queue.push_front(idx);
-      note_stream_failure(job, slot);
-      break;
+      stream_failed = true;
     } catch (const crypto::SecurityError&) {
-      job->queue.push_front(idx);
-      note_stream_failure(job, slot);
-      break;
+      stream_failed = true;
     } catch (const net::StreamClosed&) {
+      stream_failed = true;
+    }
+    if (stream_failed) {
       job->queue.push_front(idx);
       note_stream_failure(job, slot);
       break;
     }
   }
   if (--job->workers == 0) job->done.set();
+}
+
+BufChain StreamPool::request(const ReadJob& job, size_t idx) const {
+  nfs::ReadArgs args(job.fh, job.offset + idx * job.chunk,
+                     static_cast<uint32_t>(chunk_len(job, idx)));
+  xdr::Encoder enc;
+  args.encode(enc);
+  return enc.take();
+}
+
+bool StreamPool::accept(ReadJob& job, size_t idx, const BufChain& reply,
+                        size_t slot) {
+  xdr::Decoder dec(reply);
+  auto res = nfs::ReadRes::decode(dec);
+  if (res.status != Status::kOk) {
+    if (!job.error) {
+      job.error = std::make_exception_ptr(std::runtime_error(
+          std::string("stream pool: chunk READ status ") +
+          vfs::to_string(res.status)));
+    }
+    return false;
+  }
+  auto& depth = host_.engine().metrics().gauge("sgfs.pool.reassembly_depth");
+  m_chunks_.inc();
+  m_striped_bytes_.inc(res.count);
+  slots_[slot].bytes.inc(res.count);
+  job.results[idx].emplace(std::move(res));
+  ++job.completed;
+  depth.set(static_cast<int64_t>(job.completed - job.next_append));
+  // Advance the strictly-in-order reassembly frontier: every chunk is
+  // appended exactly once, in offset order — no duplication and no
+  // reordering by construction.
+  while (job.next_append < job.results.size() &&
+         job.results[job.next_append]) {
+    auto& r = *job.results[job.next_append];
+    if (!job.eof) {
+      if (r.post_attrs) job.attrs = r.post_attrs;
+      const size_t want = chunk_len(job, job.next_append);
+      job.assembled.append(std::move(r.data));
+      if (r.eof || r.count < want) job.eof = true;
+    }
+    ++job.next_append;
+  }
+  depth.set(static_cast<int64_t>(job.completed - job.next_append));
+  return true;
 }
 
 sim::Task<StreamPool::StripedRead> StreamPool::read_striped(
@@ -261,7 +266,7 @@ sim::Task<StreamPool::StripedRead> StreamPool::read_striped(
   for (size_t i = 0; i < nchunks; ++i) job->queue.push_back(i);
   m_striped_reads_.inc();
   primary_dead_ = false;
-  co_await run_rounds(job, primary, &StreamPool::read_worker);
+  co_await run_rounds(job, primary);
   if (job->error) std::rethrow_exception(job->error);
   if (job->aborted) {
     throw std::runtime_error("stream pool: striped read aborted");
@@ -276,61 +281,24 @@ sim::Task<StreamPool::StripedRead> StreamPool::read_striped(
   co_return out;
 }
 
-sim::Task<void> StreamPool::write_worker(std::shared_ptr<WriteJob> job,
-                                         rpc::RpcClient* primary,
-                                         size_t slot) {
-  while (!job->aborted && !job->queue.empty()) {
-    const size_t idx = job->queue.front();
-    job->queue.pop_front();
-    rpc::RpcClient* client = slot_client(*primary, slot);
-    if (!client) {
-      job->queue.push_front(idx);
-      break;
-    }
-    const WriteBatch& batch = (*job->batches)[idx];
-    try {
-      if (slots_[slot].delay > 0) {
-        co_await host_.engine().sleep(slots_[slot].delay);
-      }
-      if (job->auth) {
-        client->set_auth(*job->auth);
-      } else {
-        client->clear_auth();
-      }
-      nfs::WriteArgs wargs;
-      wargs.fh = batch.fh;
-      wargs.offset = batch.offset;
-      wargs.stable = nfs::StableHow::kUnstable;
-      wargs.data = batch.data;  // refcounted alias, no copy
-      xdr::Encoder enc;
-      wargs.encode(enc);
-      BufChain reply = co_await client->call(
-          static_cast<uint32_t>(Proc3::kWrite), enc.take());
-      co_await host_.cpu().use(config_.cost.msg_cost(reply.size()), "proxy");
-      xdr::Decoder dec(reply);
-      job->results[idx].res.emplace(nfs::WriteRes::decode(dec));
-      job->results[idx].ok = true;
-      m_batch_bytes_.inc(batch.data.size());
-      slots_[slot].bytes.inc(batch.data.size());
-    } catch (const rpc::RpcTimeout&) {
-      job->queue.push_front(idx);
-      note_stream_failure(job, slot);
-      break;
-    } catch (const crypto::SecurityError&) {
-      job->queue.push_front(idx);
-      note_stream_failure(job, slot);
-      break;
-    } catch (const net::StreamClosed&) {
-      job->queue.push_front(idx);
-      note_stream_failure(job, slot);
-      break;
-    }
-  }
-  if (--job->workers == 0) job->done.set();
+BufChain StreamPool::request(const WriteJob& job, size_t idx) const {
+  xdr::Encoder enc;
+  (*job.batches)[idx].encode(enc);
+  return enc.take();
 }
 
-sim::Task<std::vector<StreamPool::BatchResult>> StreamPool::write_batches(
-    rpc::RpcClient& primary, const std::vector<WriteBatch>& batches,
+bool StreamPool::accept(WriteJob& job, size_t idx, const BufChain& reply,
+                        size_t slot) {
+  xdr::Decoder dec(reply);
+  job.results[idx].emplace(nfs::WriteRes::decode(dec));
+  const size_t bytes = (*job.batches)[idx].data.size();
+  m_batch_bytes_.inc(bytes);
+  slots_[slot].bytes.inc(bytes);
+  return true;
+}
+
+sim::Task<std::vector<std::optional<nfs::WriteRes>>> StreamPool::write_batches(
+    rpc::RpcClient& primary, const std::vector<nfs::WriteArgs>& batches,
     const std::optional<rpc::AuthSys>& auth) {
   auto job = std::make_shared<WriteJob>(host_.engine());
   job->batches = &batches;
@@ -339,9 +307,9 @@ sim::Task<std::vector<StreamPool::BatchResult>> StreamPool::write_batches(
   for (size_t i = 0; i < batches.size(); ++i) job->queue.push_back(i);
   m_batches_.inc(batches.size());
   primary_dead_ = false;
-  co_await run_rounds(job, primary, &StreamPool::write_worker);
-  // Undelivered batches (aborted, or the whole pool died) come back with
-  // ok == false; the caller re-sends them on its reconnecting primary
+  co_await run_rounds(job, primary);
+  // Undelivered batches (aborted, or the whole pool died) come back as
+  // nullopt; the caller re-sends them on its reconnecting primary
   // path, so a flush epoch always completes.
   co_return std::move(job->results);
 }

@@ -40,7 +40,7 @@ namespace sgfs::core {
 class StreamPool {
  public:
   StreamPool(net::Host& host, const ClientProxyConfig& config,
-             SessionManager& session, Rng& rng);
+             SessionManager& session);
 
   /// Opens any missing pool streams (1..K-1) by resuming the primary
   /// channel's session (via the SessionManager); falls back to a full
@@ -70,28 +70,13 @@ class StreamPool {
       rpc::RpcClient& primary, const nfs::Fh& fh, uint64_t offset,
       size_t count, const std::optional<rpc::AuthSys>& auth);
 
-  /// One coalesced run of adjacent dirty blocks, sent as a single
-  /// UNSTABLE WRITE.
-  struct WriteBatch {
-    nfs::Fh fh;
-    uint64_t offset = 0;
-    BufChain data;
-
-    WriteBatch() = default;
-  };
-  struct BatchResult {
-    std::optional<nfs::WriteRes> res;  // nullopt: send it yourself
-    bool ok = false;
-
-    BatchResult() = default;
-  };
-  /// Pipelines the batches across the pool streams; results are returned
-  /// in batch order.  Batches that could not be delivered (stream deaths
-  /// exhausted the pool) come back with ok == false and res == nullopt —
-  /// the caller re-sends those through its reconnecting primary path.
-  /// Never throws for per-stream failures.
-  sim::Task<std::vector<BatchResult>> write_batches(
-      rpc::RpcClient& primary, const std::vector<WriteBatch>& batches,
+  /// Pipelines the WRITEs (coalesced runs of adjacent dirty blocks) across
+  /// the pool streams; replies are returned in batch order.  Batches that
+  /// could not be delivered (stream deaths exhausted the pool) come back as
+  /// nullopt — the caller re-sends those through its reconnecting primary
+  /// path.  Never throws for per-stream failures.
+  sim::Task<std::vector<std::optional<nfs::WriteRes>>> write_batches(
+      rpc::RpcClient& primary, const std::vector<nfs::WriteArgs>& batches,
       const std::optional<rpc::AuthSys>& auth);
 
   // --- fault-injection seams (chaos tests) --------------------------------
@@ -125,6 +110,7 @@ class StreamPool {
     std::deque<size_t> queue;  // indices still to send
     bool aborted = false;      // failover disabled + stream died
     std::exception_ptr error;  // first NFS/status failure
+    std::optional<rpc::AuthSys> auth;
     int workers = 0;
     sim::SimEvent done;
 
@@ -132,11 +118,11 @@ class StreamPool {
   };
 
   struct ReadJob : Job {
+    static constexpr nfs::Proc3 kProc = nfs::Proc3::kRead;
     nfs::Fh fh;
     uint64_t offset = 0;
     size_t chunk = 0;
     size_t total = 0;  // requested byte count
-    std::optional<rpc::AuthSys> auth;
     std::vector<std::optional<nfs::ReadRes>> results;
     size_t completed = 0;
     size_t next_append = 0;  // reassembly frontier (chunk index)
@@ -148,9 +134,9 @@ class StreamPool {
   };
 
   struct WriteJob : Job {
-    const std::vector<WriteBatch>* batches = nullptr;
-    std::optional<rpc::AuthSys> auth;
-    std::vector<BatchResult> results;
+    static constexpr nfs::Proc3 kProc = nfs::Proc3::kWrite;
+    const std::vector<nfs::WriteArgs>* batches = nullptr;
+    std::vector<std::optional<nfs::WriteRes>> results;
 
     explicit WriteJob(sim::Engine& eng) : Job(eng) {}
   };
@@ -164,24 +150,29 @@ class StreamPool {
   bool note_stream_failure(std::shared_ptr<Job> job, size_t slot);
   void update_streams_gauge();
 
-  sim::Task<void> read_worker(std::shared_ptr<ReadJob> job,
-                              rpc::RpcClient* primary, size_t slot);
-  sim::Task<void> write_worker(std::shared_ptr<WriteJob> job,
-                               rpc::RpcClient* primary, size_t slot);
+  // What a worker sends for index `idx` of a job (as JobT::kProc), and what
+  // it does with the reply; accept() returns false when the job must stop.
+  BufChain request(const ReadJob& job, size_t idx) const;
+  BufChain request(const WriteJob& job, size_t idx) const;
+  bool accept(ReadJob& job, size_t idx, const BufChain& reply, size_t slot);
+  bool accept(WriteJob& job, size_t idx, const BufChain& reply, size_t slot);
+
+  /// One worker per usable stream: pops indices off the job's queue and
+  /// sends them on `slot` until the queue drains, the job stops, or the
+  /// stream dies (its index is re-queued for the survivors first).
+  template <typename JobT>
+  sim::Task<void> worker(std::shared_ptr<JobT> job, rpc::RpcClient* primary,
+                         size_t slot);
   /// Runs worker rounds until the queue drains, the job aborts, or no
   /// stream (pool or primary) survives.  `primary_dead` tracks a primary
   /// failure within this transfer only — the proxy owns its recovery.
   template <typename JobT>
   sim::Task<void> run_rounds(std::shared_ptr<JobT> job,
-                             rpc::RpcClient& primary,
-                             sim::Task<void> (StreamPool::*worker)(
-                                 std::shared_ptr<JobT>, rpc::RpcClient*,
-                                 size_t));
+                             rpc::RpcClient& primary);
 
   net::Host& host_;
   const ClientProxyConfig& config_;
   SessionManager& session_;
-  Rng& rng_;
   std::vector<Slot> slots_;  // index 0 reserved for the primary
   bool primary_dead_ = false;
 

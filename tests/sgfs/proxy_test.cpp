@@ -52,7 +52,7 @@ struct Grid {
   explicit Grid(const crypto::Credential& user_cred,
                 CacheConfig cache = CacheConfig(),
                 UnmappedPolicy unmapped = UnmappedPolicy::kDeny,
-                sim::SimDur renegotiate = 0) {
+                sim::SimDur renegotiate = 0, int streams = 1) {
     compute = &net.add_host("compute");
     fileserver = &net.add_host("fileserver");
 
@@ -82,6 +82,8 @@ struct Grid {
     scfg.accounts.add(Account("alice", kAliceUid, kAliceUid));
     scfg.accounts.add(Account("nobody", 65534, 65534));
     scfg.unmapped = unmapped;
+    // A stream pool's sibling streams resume the primary's session.
+    scfg.session_resumption = streams > 1;
     scfg.kernel_nfs = net::Address("fileserver", 2049);
     server_proxy =
         std::make_shared<ServerProxy>(*fileserver, scfg, fs, Rng(701));
@@ -94,6 +96,7 @@ struct Grid {
     ccfg.security.renegotiate_interval = renegotiate;
     ccfg.server_proxy = net::Address("fileserver", 3049);
     ccfg.cache = cache;
+    ccfg.pool.streams = streams;
     client_proxy = std::make_shared<ClientProxy>(*compute, ccfg, Rng(702));
     client_proxy->start(2049);
   }
@@ -383,6 +386,118 @@ TEST(Sgfs, UnlinkOfHardLinkKeepsPendingWriteback) {
       EXPECT_EQ(grid.client_proxy->cancelled_writeback_bytes(), 32u * 1024);
       EXPECT_EQ(grid.client_proxy->dirty_bytes(), 0u);
     }(grid, cache_attrs));
+    EXPECT_TRUE(grid.eng.errors().empty());
+  }
+}
+
+// A WRITE absorbed while the eviction write-back of the same block is in
+// flight stores the block again: the write-back's completion must leave it
+// dirty, or eviction erases the only copy of the newer bytes.
+TEST(Sgfs, WriteAbsorbedDuringEvictionWritebackIsKept) {
+  CacheConfig cache;
+  cache.capacity_bytes = 2 * cache.block_size;
+  Grid grid(pki().alice, cache);
+  // A WAN round trip keeps the write-back in flight long enough for the
+  // second mount's WRITE to land in the middle of it.
+  grid.net.set_link("compute", "fileserver", net::LinkParams::wan(40_ms));
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    const size_t bs = 32 * 1024;
+    auto a = co_await grid.mount_session();
+    auto b = co_await grid.mount_session();
+    co_await write_dirty(*a, "f", 2 * bs, 0x01);  // blocks 0 and 1
+    int bfd = co_await b->open("f", nfs::kWrOnly);
+
+    // The second mount overwrites block 0 once its write-back has begun.
+    const uint64_t before = grid.client_proxy->forwarded();
+    grid.eng.spawn([](Grid& grid, nfs::MountPoint& b, int fd,
+                      uint64_t before, size_t bs) -> Task<void> {
+      while (grid.client_proxy->forwarded() == before) {
+        if (grid.eng.now() > 60_s) co_return;  // never began: test fails
+        co_await grid.eng.sleep(1_ms);
+      }
+      EXPECT_EQ(grid.client_proxy->flushed_bytes(), 0u) << "not in flight";
+      co_await b.pwrite(fd, 0, Buffer(bs, 0xAA));
+      co_await b.close(fd);
+    }(grid, *b, bfd, before, bs));
+
+    // Block 2 overflows the cache: block 0 is the LRU victim.
+    int afd = co_await a->open("f", nfs::kWrOnly);
+    co_await a->pwrite(afd, 2 * bs, Buffer(bs, 0x02));
+    co_await a->close(afd);
+    co_await grid.eng.sleep(1_s);
+    co_await grid.client_proxy->flush();
+
+    EXPECT_EQ(grid.client_proxy->dirty_bytes(), 0u);
+    Buffer want(bs, 0xAA);
+    want.resize(2 * bs, 0x01);
+    want.resize(3 * bs, 0x02);
+    EXPECT_EQ(server_file(grid, "f"), want);
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
+// The striped flush's completion keeps the same rule: a block stored again
+// while its batch was in flight stays dirty and goes out in the serial
+// pass that follows the pool's batches.
+TEST(Sgfs, BlockRedirtiedDuringStripedFlushGoesOutSerially) {
+  Grid grid(pki().alice, CacheConfig(), UnmappedPolicy::kDeny, 0,
+            /*streams=*/4);
+  grid.net.set_link("compute", "fileserver", net::LinkParams::wan(40_ms));
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    const size_t bs = 32 * 1024;
+    auto a = co_await grid.mount_session();
+    auto b = co_await grid.mount_session();
+    co_await write_dirty(*a, "f", 4 * bs, 0x01);
+    int bfd = co_await b->open("f", nfs::kWrOnly);
+
+    auto& metrics = grid.eng.metrics();
+    grid.eng.spawn([](Grid& grid, obs::MetricsRegistry& metrics,
+                      nfs::MountPoint& b, int fd, size_t bs) -> Task<void> {
+      while (metrics.counter_value("sgfs.pool.batches") == 0) {
+        if (grid.eng.now() > 60_s) co_return;  // never began: test fails
+        co_await grid.eng.sleep(1_ms);
+      }
+      EXPECT_EQ(grid.client_proxy->flushed_bytes(), 0u) << "not in flight";
+      co_await b.pwrite(fd, bs, Buffer(bs, 0xAA));
+      co_await b.close(fd);
+    }(grid, metrics, *b, bfd, bs));
+
+    co_await grid.client_proxy->flush();
+    EXPECT_EQ(metrics.counter_value("sgfs.pool.batch_bytes"), 4u * bs);
+    // Four blocks in the batch, then block 1 again on its own.
+    EXPECT_EQ(grid.client_proxy->flushed_bytes(), 5u * bs);
+    EXPECT_EQ(grid.client_proxy->dirty_bytes(), 0u);
+    Buffer want(4 * bs, 0x01);
+    std::fill(want.begin() + bs, want.begin() + 2 * bs, 0xAA);
+    EXPECT_EQ(server_file(grid, "f"), want);
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
+}
+
+// A dirty block is the only up-to-date copy of its bytes, so a READ of it
+// is served from the proxy cache even when no attributes are cached; the
+// origin's older bytes must neither reach the reader nor overlay the block.
+TEST(Sgfs, DirtyBlockReadWithoutAttributeCache) {
+  for (bool cache_attrs : {true, false}) {
+    SCOPED_TRACE(cache_attrs ? "attribute cache on" : "attribute cache off");
+    CacheConfig cache;
+    cache.cache_attrs = cache_attrs;
+    Grid grid(pki().alice, cache);
+    grid.eng.run_task([](Grid& grid) -> Task<void> {
+      auto mp = co_await grid.mount_session();
+      co_await write_dirty(*mp, "f", 32 * 1024, 0x11);
+      co_await grid.client_proxy->flush();
+      co_await write_dirty(*mp, "f", 32 * 1024, 0xAA);
+      mp->drop_caches();
+      co_await grid.eng.sleep(60_s);  // past the kernel's attribute cache
+      Buffer got(32 * 1024);
+      int fd = co_await mp->open("f", nfs::kRdOnly);
+      EXPECT_EQ(co_await mp->read(fd, got), got.size());
+      co_await mp->close(fd);
+      EXPECT_EQ(got, Buffer(32 * 1024, 0xAA));
+      co_await grid.client_proxy->flush();
+      EXPECT_EQ(server_file(grid, "f"), Buffer(32 * 1024, 0xAA));
+    }(grid));
     EXPECT_TRUE(grid.eng.errors().empty());
   }
 }
