@@ -233,6 +233,31 @@ inline void print_check(const std::string& what, double measured,
   }
 }
 
+/// A bench's acceptance gates: each prints as a check, plus a FAIL line
+/// when it does not pass; finish() prints the verdict and returns the exit
+/// code.
+class Gates {
+ public:
+  explicit Gates(std::string bench) : bench_(std::move(bench)) {}
+
+  void operator()(const std::string& what, double measured, bool pass,
+                  const std::string& expect) {
+    print_check(what, measured, expect);
+    if (!pass) std::printf("  FAIL: %s\n", what.c_str());
+    ok_ = ok_ && pass;
+  }
+
+  int finish() const {
+    std::printf(ok_ ? "%s: all gates passed\n" : "%s: FAILED gates\n",
+                bench_.c_str());
+    return ok_ ? 0 : 1;
+  }
+
+ private:
+  std::string bench_;
+  bool ok_ = true;
+};
+
 /// Publishes the buffer-pipeline copy-accounting deltas accumulated since
 /// construction into an engine's registry as buf.* counters.  BufStats is
 /// process-global (payloads cross host boundaries), so each bench run wraps
@@ -254,18 +279,6 @@ class BufStatsScope {
  private:
   BufStats start_;
 };
-
-/// Prints the per-layer metrics summary for one simulation (RPC counts,
-/// cache hit ratios, retransmits, crypto bytes, queue waits), indented
-/// under an optional label.  Call right after the timing line so each
-/// config's decomposition sits next to its number.
-inline void print_metrics(const obs::MetricsRegistry& reg,
-                          const std::string& label = "") {
-  if (!label.empty()) std::printf("    -- metrics: %s --\n", label.c_str());
-  std::string summary = obs::format_summary(reg, "    ");
-  if (summary.empty()) summary = "    (no metrics recorded)\n";
-  std::fputs(summary.c_str(), stdout);
-}
 
 /// True when the user asked for an RPC span trace (--trace=PATH).
 inline bool trace_requested(const Flags& flags) {
@@ -295,22 +308,6 @@ inline void dump_trace(const Flags& flags, const sim::Engine& eng,
     std::fprintf(stderr, "WARNING: could not write trace to %s\n",
                  path.c_str());
   }
-}
-
-/// Runs `body(testbed)` once per seed; returns per-phase vectors of totals.
-template <typename MakeTestbed, typename Body>
-std::vector<workloads::PhaseTimes> run_seeds(int runs, MakeTestbed&& make,
-                                             Body&& body) {
-  std::vector<workloads::PhaseTimes> out;
-  for (int r = 0; r < runs; ++r) {
-    auto tb = make(42 + 1000ull * r);
-    out.push_back(body(*tb, 42 + 1000ull * r));
-    if (!tb->engine().errors().empty()) {
-      std::fprintf(stderr, "WARNING: simulation errors: %s\n",
-                   tb->engine().errors()[0].c_str());
-    }
-  }
-  return out;
 }
 
 }  // namespace sgfs::bench

@@ -33,12 +33,14 @@ void print_fleet_run(const std::string& name, const fleet::FleetResult& r,
   const double goodput = static_cast<double>(r.ok) / window_s;
   const double evps =
       r.wall_seconds > 0 ? static_cast<double>(r.events) / r.wall_seconds : 0;
+  const double p50 = fleet::percentile_ms(r.lat_ns, 0.50);
+  const double p99 = fleet::percentile_ms(r.lat_ns, 0.99);
+  const double p999 = fleet::percentile_ms(r.lat_ns, 0.999);
   char note[256];
   std::snprintf(note, sizeof note,
                 "goodput %.0f/s; p50 %.2f p99 %.2f p999 %.2f ms; ok %llu "
                 "busy %llu giveup %llu err %llu; %.0fk ev/s wall",
-                goodput, r.percentile_ms(0.50), r.percentile_ms(0.99),
-                r.percentile_ms(0.999),
+                goodput, p50, p99, p999,
                 static_cast<unsigned long long>(r.ok),
                 static_cast<unsigned long long>(r.busy),
                 static_cast<unsigned long long>(r.giveups),
@@ -47,9 +49,9 @@ void print_fleet_run(const std::string& name, const fleet::FleetResult& r,
 
   std::map<std::string, double> m = r.metrics;
   m["fleet.goodput_per_sec"] = goodput;
-  m["fleet.p50_ms"] = r.percentile_ms(0.50);
-  m["fleet.p99_ms"] = r.percentile_ms(0.99);
-  m["fleet.p999_ms"] = r.percentile_ms(0.999);
+  m["fleet.p50_ms"] = p50;
+  m["fleet.p99_ms"] = p99;
+  m["fleet.p999_ms"] = p999;
   m["fleet.ok"] = static_cast<double>(r.ok);
   m["fleet.busy"] = static_cast<double>(r.busy);
   m["fleet.giveups"] = static_cast<double>(r.giveups);
@@ -90,15 +92,7 @@ int main(int argc, char** argv) {
   std::printf("sweep: closed-loop sessions (5 ops/s each), %.0fs window\n\n",
               window);
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gates gate("fleet");
 
   // --- session-count sweep (no faults) -------------------------------------
   for (int sessions : sweep) {
@@ -114,11 +108,11 @@ int main(int argc, char** argv) {
         static_cast<double>(r.ok + r.busy + r.giveups + r.errors);
     const double success = total > 0 ? static_cast<double>(r.ok) / total : 0;
     gate(name + " success ratio", success, success >= 0.99, ">= 0.99");
-    gate(name + " p99 ms (SLO)", r.percentile_ms(0.99),
-         r.percentile_ms(0.99) <= slo_p99,
+    const double p99 = fleet::percentile_ms(r.lat_ns, 0.99);
+    const double p999 = fleet::percentile_ms(r.lat_ns, 0.999);
+    gate(name + " p99 ms (SLO)", p99, p99 <= slo_p99,
          "<= " + std::to_string(slo_p99));
-    gate(name + " p999 ms (SLO)", r.percentile_ms(0.999),
-         r.percentile_ms(0.999) <= slo_p999,
+    gate(name + " p999 ms (SLO)", p999, p999 <= slo_p999,
          "<= " + std::to_string(slo_p999));
     gate(name + " sim errors", static_cast<double>(r.sim_errors),
          r.sim_errors == 0, "== 0");
@@ -145,13 +139,13 @@ int main(int argc, char** argv) {
   }
   std::printf("\n");
 
-  const double pre = cr.mean_goodput(cr.win_start_bucket + 1,
-                                     cr.crash_bucket);
-  const double during = cr.mean_goodput(
-      cr.crash_bucket + 1,
+  const double pre = fleet::mean_goodput(
+      cr.bucket_ok, cr.win_start_bucket + 1, cr.crash_bucket);
+  const double during = fleet::mean_goodput(
+      cr.bucket_ok, cr.crash_bucket + 1,
       cr.crash_bucket + static_cast<size_t>(drill.downtime_s));
-  const double post = cr.mean_goodput(cr.restored_bucket,
-                                      cr.win_end_bucket);
+  const double post = fleet::mean_goodput(cr.bucket_ok, cr.restored_bucket,
+                                          cr.win_end_bucket);
   gate("crash drill pre-crash plateau ops/s", pre, pre > 0, "> 0");
   const double dip = pre > 0 ? during / pre : 1.0;
   gate("crash drill goodput dip while down", dip, dip <= 0.9, "<= 0.9");
@@ -190,10 +184,5 @@ int main(int argc, char** argv) {
          ">= " + std::to_string(min_evps));
   }
 
-  if (!ok) {
-    std::printf("fleet: FAILED gates\n");
-    return 1;
-  }
-  std::printf("fleet: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

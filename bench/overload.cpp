@@ -26,11 +26,11 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "fleet/harness.hpp"
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/wire_ops.hpp"
 #include "rpc/retry.hpp"
-#include "rpc/rpc_server.hpp"
 #include "sgfs/server_proxy.hpp"
 #include "vfs/vfs.hpp"
 
@@ -56,15 +56,11 @@ struct ClientCfg {
   ClientCfg() = default;
 };
 
-/// One (configuration, offered load) run's outcome.  Counters are keyed by
-/// ARRIVAL time (standard open-loop accounting): only calls that arrived
-/// inside the measurement window count, however late they complete.
-struct RunOut {
+/// One (configuration, offered load) run's outcome, under open-loop
+/// accounting: a call counts if it arrived inside the window, however late
+/// it completes or fails.  errors should stay 0.
+struct RunOut : fleet::OpCounts {
   uint64_t offered = 0;   // in-window arrivals
-  uint64_t ok = 0;        // completed successfully
-  uint64_t giveups = 0;   // client exhausted its retransmission budget
-  uint64_t busy = 0;      // JUKEBOX surfaced after (any) delayed retries
-  uint64_t errors = 0;    // anything else (should stay 0)
   std::vector<uint64_t> lat_ns;  // latency of each in-window success
 
   double goodput = 0;  // ok / window seconds
@@ -81,47 +77,37 @@ struct RunOut {
   }
 };
 
-/// Completion bookkeeping shared by the generators and their spawned calls.
-struct Tally {
+/// Shared by the generators and their spawned calls.
+struct Calls {
+  fleet::OpTally tally;
   uint64_t issued = 0;
   uint64_t done = 0;
 
-  Tally() = default;
+  explicit Calls(RunOut& out) : tally(out, &out.lat_ns) {}
 };
 
 sim::Task<void> one_call(sim::Engine& eng, nfs::WireOps& ops, nfs::Fh fh,
-                         bool in_window, RunOut& out, Tally& tally) {
+                         Calls& calls) {
   const sim::SimTime arrival = eng.now();
   try {
     nfs::GetattrRes res = co_await ops.getattr(fh);
-    if (res.status == nfs::Status::kOk) {
-      if (in_window) {
-        ++out.ok;
-        out.lat_ns.push_back(static_cast<uint64_t>(eng.now() - arrival));
-      }
-    } else if (res.status == nfs::Status::kJukebox) {
-      if (in_window) ++out.busy;
-    } else {
-      if (in_window) ++out.errors;
-    }
-  } catch (const rpc::RpcTimeout&) {
-    if (in_window) ++out.giveups;
-  } catch (const std::exception&) {
-    if (in_window) ++out.errors;
+    calls.tally.reply(res.status, arrival, eng.now());
+  } catch (const std::exception& e) {
+    calls.tally.failure(e, arrival);
   }
-  ++tally.done;
+  ++calls.done;
 }
 
 sim::Task<void> generator(sim::Engine& eng, nfs::WireOps& ops, nfs::Fh fh,
                           sim::SimDur phase, sim::SimDur interval,
-                          sim::SimTime window_start, sim::SimTime window_end,
-                          RunOut& out, Tally& tally) {
+                          RunOut& out, Calls& calls) {
   co_await eng.sleep(phase);
-  while (eng.now() < window_end) {
-    ++tally.issued;
-    const bool in_window = eng.now() >= window_start;
-    if (in_window) ++out.offered;
-    eng.spawn(one_call(eng, ops, fh, in_window, out, tally));
+  // By value: the last wake-up may come after drive() and `calls` are gone.
+  const fleet::Window w = calls.tally.window();
+  while (eng.now() < w.end) {
+    ++calls.issued;
+    if (w.contains(eng.now())) ++out.offered;
+    eng.spawn(one_call(eng, ops, fh, calls));
     co_await eng.sleep(interval);
   }
 }
@@ -129,7 +115,7 @@ sim::Task<void> generator(sim::Engine& eng, nfs::WireOps& ops, nfs::Fh fh,
 sim::Task<void> drive(sim::Engine& eng, std::vector<net::Host*>& sess,
                       ClientCfg ccfg, double offered_per_sec,
                       sim::SimDur warmup, sim::SimDur window, RunOut& out) {
-  Tally tally;
+  Calls calls(out);
   const net::Address proxy_addr("server", 3049);
 
   // One wire-ops backend (its own RPC connection and retry state) per
@@ -153,30 +139,15 @@ sim::Task<void> drive(sim::Engine& eng, std::vector<net::Host*>& sess,
   const size_t n = ops.size();
   const sim::SimDur interval =
       sim::from_seconds(static_cast<double>(n) / offered_per_sec);
-  const sim::SimTime t0 = eng.now();
-  const sim::SimTime window_start = t0 + warmup;
-  const sim::SimTime window_end = window_start + window;
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase =
-        static_cast<sim::SimDur>(interval * i / static_cast<sim::SimDur>(n));
-    eng.spawn(generator(eng, *ops[i], root, phase, interval, window_start,
-                        window_end, out, tally));
-  }
+  calls.tally.open(fleet::Window(eng.now(), warmup, window));
+  fleet::spawn_ramp(eng, n, interval, [&](size_t i, sim::SimDur phase) {
+    return generator(eng, *ops[i], root, phase, interval, out, calls);
+  });
 
   // Wait for every issued call to resolve (success, give-up or surfaced
   // JUKEBOX) — NOT for the server to drain its backlog of abandoned work.
   co_await eng.sleep(warmup + window);
-  while (tally.done < tally.issued) {
-    co_await eng.sleep(50 * sim::kMillisecond);
-  }
-}
-
-double percentile(std::vector<uint64_t> v, double q) {
-  if (v.empty()) return 0;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return static_cast<double>(v[idx]);
+  co_await fleet::drain(eng, [&] { return calls.done >= calls.issued; });
 }
 
 RunOut run_once(bool admission, ClientCfg ccfg, int sessions,
@@ -193,23 +164,9 @@ RunOut run_once(bool admission, ClientCfg ccfg, int sessions,
 
   // Kernel NFS server on the loopback, exported to the proxy host only.
   auto fs = std::make_shared<vfs::FileSystem>();
-  vfs::Cred root(0, 0);
-  fs->mkdir_p(root, kDataPath, 0755);
-  auto dir = fs->resolve(root, kDataPath);
-  vfs::SetAttrs chown;
-  chown.uid = kGridUid;
-  chown.gid = kGridUid;
-  fs->setattr(root, dir.value, chown);
-  auto kernel_nfs = std::make_shared<nfs::Nfs3Server>(server, fs, 1,
-                                                      nfs::ServerCostModel());
-  kernel_nfs->add_export(
-      nfs::ExportEntry("/GFS", std::set<std::string>{"server"}));
-  auto kernel_rpc = std::make_unique<rpc::RpcServer>(server, 2049);
-  kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                               kernel_nfs);
-  kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                               kernel_nfs->mount_program());
-  kernel_rpc->start();
+  fs->chown(fs->mkdir_p(vfs::Cred(0, 0), kDataPath, 0755).value, kGridUid,
+            kGridUid);
+  const nfs::KernelNfs kernel(server, fs, {"server"});
 
   // CPU-bound plain-transport server proxy (the system under overload).
   core::ServerProxyConfig scfg;
@@ -234,8 +191,8 @@ RunOut run_once(bool admission, ClientCfg ccfg, int sessions,
   }
 
   out.goodput = static_cast<double>(out.ok) / sim::to_seconds(window);
-  out.p50_ms = percentile(out.lat_ns, 0.50) / 1e6;
-  out.p99_ms = percentile(out.lat_ns, 0.99) / 1e6;
+  out.p50_ms = fleet::percentile_ms(out.lat_ns, 0.50);
+  out.p99_ms = fleet::percentile_ms(out.lat_ns, 0.99);
   out.metrics = obs::scalar_values(eng.metrics());
   out.metrics["overload.offered"] = static_cast<double>(out.offered);
   out.metrics["overload.ok"] = static_cast<double>(out.ok);
@@ -329,15 +286,7 @@ int main(int argc, char** argv) {
   const RunOut& naive_peak = naive_runs[peak];
   const RunOut& robust_peak = robust_runs[peak];
 
-  bool ok = true;
-  auto gate = [&](const std::string& what, double measured, bool pass,
-                  const std::string& expect) {
-    print_check(what, measured, expect);
-    if (!pass) {
-      std::printf("  FAIL: %s\n", what.c_str());
-      ok = false;
-    }
-  };
+  Gates gate("overload");
 
   const double naive_low_frac = naive_low.goodput / loads[low];
   gate("naive goodput/offered underloaded", naive_low_frac,
@@ -378,10 +327,5 @@ int main(int argc, char** argv) {
   const bool identical = replay.same(robust_peak);
   gate("robust peak replay identical", identical ? 1 : 0, identical, "== 1");
 
-  if (!ok) {
-    std::printf("overload: FAILED gates\n");
-    return 1;
-  }
-  std::printf("overload: all gates passed\n");
-  return 0;
+  return gate.finish();
 }

@@ -10,6 +10,7 @@
 // Build & run:  ./build/examples/managed_session
 #include <cstdio>
 
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
 #include "services/services.hpp"
 
@@ -41,23 +42,10 @@ int main() {
 
   // File server with the kernel NFS export.
   auto fs = std::make_shared<vfs::FileSystem>();
-  vfs::Cred root(0, 0);
-  fs->mkdir_p(root, "/GFS/alice", 0755);
-  auto home = fs->resolve(root, "/GFS/alice");
-  vfs::SetAttrs chown;
-  chown.uid = 2001;
-  chown.gid = 2001;
-  fs->setattr(root, home.value, chown);
+  fs->chown(fs->mkdir_p(vfs::Cred(0, 0), "/GFS/alice", 0755).value, 2001, 2001);
   fs->write_file(vfs::Cred(2001, 2001), "/GFS/alice/input.dat",
                  to_bytes("input data set"));
-  auto kernel_nfs = std::make_shared<nfs::Nfs3Server>(fileserver, fs);
-  kernel_nfs->add_export(nfs::ExportEntry("/GFS", {"fileserver"}));
-  rpc::RpcServer kernel_rpc(fileserver, 2049);
-  kernel_rpc.register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                              kernel_nfs);
-  kernel_rpc.register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                              kernel_nfs->mount_program());
-  kernel_rpc.start();
+  const nfs::KernelNfs kernel(fileserver, fs, {"fileserver"});
 
   // FSSs on both hosts; only the DSS identity may control them.
   std::vector<crypto::Certificate> trusted = {ca.root()};

@@ -84,31 +84,21 @@ Testbed::Testbed(TestbedOptions options)
 
   // Kernel NFS server, exported to localhost only when proxies front it.
   fs_ = std::make_shared<vfs::FileSystem>();
-  vfs::Cred root(0, 0);
-  fs_->mkdir_p(root, kDataPath, 0755);
-  auto dir = fs_->resolve(root, kDataPath);
-  vfs::SetAttrs chown;
-  chown.uid = kGridUid;
-  chown.gid = kGridUid;
-  fs_->setattr(root, dir.value, chown);
+  fs_->chown(fs_->mkdir_p(vfs::Cred(0, 0), kDataPath, 0755).value, kGridUid,
+             kGridUid);
 
   nfs::ServerCostModel server_cost;
   server_cost.memory_bytes = options_.server_mem_bytes;
-  kernel_nfs_ =
-      std::make_shared<nfs::Nfs3Server>(*server_, fs_, 1, server_cost);
   const bool direct =
       options_.kind == SetupKind::kNfsV3 || options_.kind == SetupKind::kNfsV4;
-  kernel_nfs_->add_export(nfs::ExportEntry(
-      "/GFS", direct ? std::set<std::string>{} /* any host */
-                     : std::set<std::string>{"server"}));
-  kernel_rpc_ = std::make_unique<rpc::RpcServer>(*server_, 2049);
-  kernel_rpc_->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                kernel_nfs_);
-  kernel_rpc_->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                kernel_nfs_->mount_program());
-  kernel_rpc_->register_program(nfs::kNfsProgram, nfs::kNfsVersion4,
-                                std::make_shared<nfs::Nfs4Server>(kernel_nfs_));
-  kernel_rpc_->start();
+  kernel_ = nfs::KernelNfs(
+      *server_, fs_,
+      direct ? std::set<std::string>{} /* any host */
+             : std::set<std::string>{"server"},
+      2049, server_cost);
+  kernel_.rpc->register_program(
+      nfs::kNfsProgram, nfs::kNfsVersion4,
+      std::make_shared<nfs::Nfs4Server>(kernel_.server));
 
   // Figures 5/6 sample daemon CPU in 5-second windows.
   client_->cpu().enable_sampling(5 * sim::kSecond);
@@ -260,7 +250,7 @@ uint64_t Testbed::server_drc_hits() const {
   // Proxied setups: retransmissions land on the server proxy's RPC service;
   // direct setups: on the kernel server's.
   if (server_proxy_) return server_proxy_->drc_hits();
-  return kernel_rpc_ ? kernel_rpc_->drc_hits() : 0;
+  return kernel_.rpc ? kernel_.rpc->drc_hits() : 0;
 }
 
 Testbed::~Testbed() {
@@ -319,7 +309,7 @@ void Testbed::preload_file(const std::string& path, uint64_t bytes,
     fs_->write(grid, file.value, off, ByteView(chunk.data(), n));
     off += n;
   }
-  if (warm) kernel_nfs_->warm_file(full);
+  if (warm) kernel_.server->warm_file(full);
   preloaded_.push_back(path);
 }
 

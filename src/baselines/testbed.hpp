@@ -23,8 +23,8 @@
 #include "baselines/tunnel.hpp"
 #include "fleet/replica_server.hpp"
 #include "net/fault.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "nfs/nfs4.hpp"
 #include "sgfs/cache_fault.hpp"
 #include "sgfs/client_proxy.hpp"
@@ -157,7 +157,7 @@ class Testbed {
   net::Host& client_host() { return *client_; }
   net::Host& server_host() { return *server_; }
   vfs::FileSystem& server_fs() { return *fs_; }
-  nfs::Nfs3Server& kernel_server() { return *kernel_nfs_; }
+  nfs::Nfs3Server& kernel_server() { return *kernel_.server; }
   core::ClientProxy* client_proxy() { return client_proxy_.get(); }
   core::ServerProxy* server_proxy() { return server_proxy_.get(); }
   /// The storage-fault injector; nullptr unless cache_tamper is enabled.
@@ -220,8 +220,7 @@ class Testbed {
   net::Host* server_;
   std::unique_ptr<Pki> pki_;
   std::shared_ptr<vfs::FileSystem> fs_;
-  std::shared_ptr<nfs::Nfs3Server> kernel_nfs_;
-  std::unique_ptr<rpc::RpcServer> kernel_rpc_;
+  nfs::KernelNfs kernel_;
   std::shared_ptr<core::ServerProxy> server_proxy_;
   std::shared_ptr<core::ClientProxy> client_proxy_;
   std::unique_ptr<core::CacheTamperInjector> cache_injector_;

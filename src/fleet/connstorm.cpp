@@ -1,12 +1,11 @@
 #include "fleet/connstorm.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/wire_ops.hpp"
 #include "rpc/retry.hpp"
 #include "rpc/rpc_client.hpp"
@@ -45,22 +44,12 @@ struct Storm {
   ConnstormResult& res;
   net::Address fss_addr;
 
-  sim::SimTime t0 = 0;
-  sim::SimTime win_start = 0;
-  sim::SimTime win_end = 0;
+  OpTally tally{res, nullptr, &res};
   size_t done = 0;
 
   Storm(sim::Engine& e, const ConnstormOptions& o, ConnstormResult& r,
         net::Address fss)
       : eng(e), opt(o), res(r), fss_addr(std::move(fss)) {}
-
-  void bucket_success(sim::SimTime arrival) {
-    const size_t b = static_cast<size_t>((arrival - t0) / sim::kSecond);
-    if (b < res.bucket_ok.size()) ++res.bucket_ok[b];
-    const size_t sb =
-        static_cast<size_t>((arrival - t0) / (sim::kSecond / 4));
-    if (sb < res.sub_ok.size()) ++res.sub_ok[sb];
-  }
 };
 
 /// One SSO round against the FSS: redeem (or mint) the user's pass, then
@@ -111,7 +100,7 @@ sim::Task<void> client_actor(Storm& s, Client& c, size_t idx,
   nfs::Fh file_fh;
   uint64_t seen_reconnects = 0;
   bool reauthorize = false;
-  while (s.eng.now() < s.win_end) {
+  while (s.eng.now() < s.tally.window().end) {
     try {
       if (!ops) {
         auto fresh = co_await nfs::V3WireOps::connect(
@@ -127,7 +116,6 @@ sim::Task<void> client_actor(Storm& s, Client& c, size_t idx,
       }
 
       const sim::SimTime arrival = s.eng.now();
-      const bool in_window = arrival >= s.win_start && arrival < s.win_end;
       nfs::Status status;
       if (rng.next_below(100) < 70) {
         nfs::GetattrRes r = co_await ops->getattr(file_fh);
@@ -137,14 +125,7 @@ sim::Task<void> client_actor(Storm& s, Client& c, size_t idx,
         nfs::ReadRes r = co_await ops->read(file_fh, off, kIoBytes);
         status = r.status;
       }
-      if (status == nfs::Status::kOk) {
-        s.bucket_success(arrival);
-        if (in_window) ++s.res.ok;
-      } else if (status == nfs::Status::kJukebox) {
-        if (in_window) ++s.res.busy;
-      } else {
-        if (in_window) ++s.res.errors;
-      }
+      s.tally.reply(status, arrival, s.eng.now());
 
       // The proxy re-established its upstream session behind this op: pay
       // the FSS authorization that re-establishment needs (one round per
@@ -155,23 +136,15 @@ sim::Task<void> client_actor(Storm& s, Client& c, size_t idx,
         ++s.res.sso_authorizations;
         co_await sso_round(s, *c.host, *c.cred);
       }
-    } catch (const rpc::RpcTimeout&) {
-      const sim::SimTime now = s.eng.now();
-      if (now >= s.win_start && now < s.win_end) ++s.res.giveups;
+    } catch (const std::exception& e) {
+      // A give-up drops the mount.  Otherwise the proxy exhausted its
+      // reconnect budget (or the loopback stream died with it): drop the
+      // mount, re-authorize, re-mount next round.
+      reauthorize = !s.tally.failure(e, s.eng.now());
       if (ops) {
         ops->close();
         ops.reset();
       }
-    } catch (const std::exception&) {
-      // The proxy exhausted its reconnect budget (or the loopback stream
-      // died with it): drop the mount, re-authorize, re-mount next round.
-      const sim::SimTime now = s.eng.now();
-      if (now >= s.win_start && now < s.win_end) ++s.res.errors;
-      if (ops) {
-        ops->close();
-        ops.reset();
-      }
-      reauthorize = true;
     }
     if (reauthorize) {
       reauthorize = false;
@@ -186,42 +159,29 @@ sim::Task<void> client_actor(Storm& s, Client& c, size_t idx,
 
 sim::Task<void> drive(Storm& s, std::vector<Client>& clients,
                       net::Host& server_host) {
-  s.t0 = s.eng.now();
   const sim::SimDur warmup = sim::from_seconds(s.opt.warmup_s);
-  s.win_start = s.t0 + warmup;
-  s.win_end = s.win_start + sim::from_seconds(s.opt.window_s);
-  s.res.bucket_ok.assign(
-      static_cast<size_t>((s.win_end - s.t0) / sim::kSecond) + 1, 0);
-  s.res.sub_ok.assign(
-      static_cast<size_t>((s.win_end - s.t0) / (sim::kSecond / 4)) + 1, 0);
-  s.res.win_start_bucket = static_cast<size_t>(warmup / sim::kSecond);
-  s.res.win_end_bucket =
-      static_cast<size_t>((s.win_end - s.t0) / sim::kSecond);
+  s.tally.open(Window(s.eng.now(), warmup, sim::from_seconds(s.opt.window_s)));
+  s.tally.track(s.res.sub_ok, sim::kSecond / 4);
+  const Window& w = s.tally.window();
 
   // Establishment ramp over 80% of warmup: the initial full-handshake wave
   // must not alias the storm we are here to measure.
   const size_t n = clients.size();
-  const sim::SimDur ramp = warmup - warmup / 5;
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase = static_cast<sim::SimDur>(
-        ramp * static_cast<sim::SimDur>(i) / static_cast<sim::SimDur>(n));
-    s.eng.spawn(client_actor(s, clients[i], i, phase));
-  }
+  spawn_ramp(s.eng, n, warmup - warmup / 5, [&](size_t i, sim::SimDur phase) {
+    return client_actor(s, clients[i], i, phase);
+  });
 
   // The storm: the server host (proxy + kernel NFS) restarts; every secure
   // session breaks at once and the whole cohort reconnects.
-  const sim::SimTime crash_at =
-      s.win_start + sim::from_seconds(s.opt.crash_at_s);
+  const sim::SimTime crash_at = w.start + sim::from_seconds(s.opt.crash_at_s);
   server_host.crash_restart(crash_at, sim::from_seconds(s.opt.downtime_s));
   s.res.crash_bucket = s.res.win_start_bucket +
                        static_cast<size_t>(s.opt.crash_at_s);
   s.res.restart_bucket =
       s.res.crash_bucket + static_cast<size_t>(s.opt.downtime_s);
 
-  co_await s.eng.sleep(s.win_end - s.eng.now());
-  while (s.done < n) {
-    co_await s.eng.sleep(50 * sim::kMillisecond);
-  }
+  co_await s.eng.sleep(w.end - s.eng.now());
+  co_await drain(s.eng, [&] { return s.done >= n; });
 }
 
 }  // namespace
@@ -244,20 +204,8 @@ uint64_t ConnstormResult::fingerprint() const {
   for (uint64_t b : bucket_ok) h.mix(b);
   h.mix(static_cast<uint64_t>(sub_ok.size()));
   for (uint64_t b : sub_ok) h.mix(b);
-  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  h.mix(events);
-  h.mix(actors);
-  h.mix(sim_errors);
+  mix_into(h);
   return h.value();
-}
-
-double ConnstormResult::mean_goodput(size_t from, size_t to) const {
-  from = std::min(from, bucket_ok.size());
-  to = std::min(to, bucket_ok.size());
-  if (to <= from) return 0;
-  uint64_t sum = 0;
-  for (size_t i = from; i < to; ++i) sum += bucket_ok[i];
-  return static_cast<double>(sum) / static_cast<double>(to - from);
 }
 
 ConnstormResult run_connstorm(const ConnstormOptions& opt) {
@@ -298,28 +246,16 @@ ConnstormResult run_connstorm(const ConnstormOptions& opt) {
   // Exported filesystem with one shared read-mostly file.
   auto fs = std::make_shared<vfs::FileSystem>();
   const vfs::Cred root_cred(0, 0);
-  fs->mkdir_p(root_cred, kStormRoot, 0755);
-  vfs::SetAttrs chown;
-  chown.uid = kStormUid;
-  chown.gid = kStormUid;
-  auto dir = fs->resolve(root_cred, kStormRoot);
-  fs->setattr(root_cred, dir.value, chown);
+  fs->chown(fs->mkdir_p(root_cred, kStormRoot, 0755).value, kStormUid,
+            kStormUid);
   const Buffer body(static_cast<size_t>(kIoBytes) * kFileBlocks);
   auto file = fs->write_file(root_cred, std::string(kStormRoot) + "/f0",
                              ByteView(body.data(), body.size()));
-  fs->setattr(root_cred, file.value, chown);
+  fs->chown(file.value, kStormUid, kStormUid);
 
   // Server host: kernel NFS + the one secure server proxy.
   net::Host& server = net.add_host("server");
-  auto kernel = std::make_shared<nfs::Nfs3Server>(server, fs, /*fsid=*/1,
-                                                  nfs::ServerCostModel());
-  kernel->add_export(
-      nfs::ExportEntry("/GFS", std::set<std::string>{"server"}));
-  auto kernel_rpc = std::make_unique<rpc::RpcServer>(server, kKernelPort);
-  kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3, kernel);
-  kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                               kernel->mount_program());
-  kernel_rpc->start();
+  const nfs::KernelNfs kernel(server, fs, {"server"}, kKernelPort);
 
   core::ServerProxyConfig scfg;
   scfg.kernel_nfs = net::Address("server", kKernelPort);
@@ -386,32 +322,21 @@ ConnstormResult run_connstorm(const ConnstormOptions& opt) {
   }
   res.fss_signatures = fss->sso_signatures();
   res.fss_cache_hits = fss->sso_cache_hits();
-  res.sim_seconds = sim::to_seconds(eng.now());
-  res.events = eng.events_processed();
-  res.actors = eng.actors_spawned();
-  res.sim_errors = eng.errors().size();
-  res.metrics = obs::scalar_values(eng.metrics());
-  res.full_handshakes = static_cast<uint64_t>(
-      res.metrics.count("sgfs.session.full_handshakes")
-          ? res.metrics.at("sgfs.session.full_handshakes")
-          : 0);
-  res.resumed_sessions = static_cast<uint64_t>(
-      res.metrics.count("sgfs.session.resumed")
-          ? res.metrics.at("sgfs.session.resumed")
-          : 0);
-  res.fallback_handshakes = static_cast<uint64_t>(
-      res.metrics.count("sgfs.session.fallback_full")
-          ? res.metrics.at("sgfs.session.fallback_full")
-          : 0);
+  res.finish(eng, wall_start);
+  const obs::MetricsRegistry& m = eng.metrics();
+  res.full_handshakes = m.counter_value("sgfs.session.full_handshakes");
+  res.resumed_sessions = m.counter_value("sgfs.session.resumed");
+  res.fallback_handshakes = m.counter_value("sgfs.session.fallback_full");
 
   // Recovery: first post-restart 250 ms slice with goodput back at >= 90%
   // of the pre-crash plateau (capped at the window end when it never
   // returns).
-  res.plateau = res.mean_goodput(res.win_start_bucket, res.crash_bucket);
-  const size_t restart_sub = static_cast<size_t>(
-      (s.win_start + sim::from_seconds(opt.crash_at_s + opt.downtime_s) -
-       s.t0) /
-      (sim::kSecond / 4));
+  res.plateau =
+      mean_goodput(res.bucket_ok, res.win_start_bucket, res.crash_bucket);
+  const Window& w = s.tally.window();
+  const size_t restart_sub = w.bucket(
+      w.start + sim::from_seconds(opt.crash_at_s + opt.downtime_s),
+      sim::kSecond / 4);
   const size_t end_sub = res.win_end_bucket * 4;
   res.recovery_s =
       static_cast<double>(res.win_end_bucket - res.restart_bucket);
@@ -427,12 +352,7 @@ ConnstormResult run_connstorm(const ConnstormOptions& opt) {
   for (Client& c : clients) c.proxy->stop();
   server_proxy->stop();
   fss->stop();
-  kernel_rpc->stop();
-
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  kernel.rpc->stop();
   return res;
 }
 

@@ -5,11 +5,8 @@
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/wire_ops.hpp"
-#include "rpc/retry.hpp"
-#include "rpc/rpc_client.hpp"
-#include "rpc/rpc_server.hpp"
 #include "services/services.hpp"
 #include "sgfs/client_proxy.hpp"
 #include "sgfs/replica.hpp"
@@ -101,15 +98,11 @@ sim::Task<void> drive(Crowd& c, std::vector<net::Host*>& client_hosts,
                                   "PutReplicaCatalog", "catalog", catalog_hex);
   }
   const size_t n = client_hosts.size();
-  const sim::SimDur ramp = sim::from_seconds(c.opt.ramp_s);
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase = static_cast<sim::SimDur>(
-        ramp * static_cast<sim::SimDur>(i) / static_cast<sim::SimDur>(n));
-    c.eng.spawn(client_actor(c, *client_hosts[i], phase));
-  }
-  while (c.done < n) {
-    co_await c.eng.sleep(50 * sim::kMillisecond);
-  }
+  spawn_ramp(c.eng, n, sim::from_seconds(c.opt.ramp_s),
+             [&](size_t i, sim::SimDur phase) {
+               return client_actor(c, *client_hosts[i], phase);
+             });
+  co_await drain(c.eng, [&] { return c.done >= n; });
 }
 
 }  // namespace
@@ -134,10 +127,7 @@ uint64_t FlashcrowdResult::fingerprint() const {
   h.mix(catalog_fetches);
   h.mix(stale_catalogs);
   h.mix(byzantine_armed);
-  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  h.mix(events);
-  h.mix(actors);
-  h.mix(sim_errors);
+  mix_into(h);
   return h.value();
 }
 
@@ -187,25 +177,13 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   // with an identity; replicas are untrusted).
   auto fs = std::make_shared<vfs::FileSystem>();
   const vfs::Cred root_cred(0, 0);
-  fs->mkdir_p(root_cred, kRoot, 0755);
-  vfs::SetAttrs chown;
-  chown.uid = kUid;
-  chown.gid = kUid;
-  fs->setattr(root_cred, fs->resolve(root_cred, kRoot).value, chown);
+  fs->chown(fs->mkdir_p(root_cred, kRoot, 0755).value, kUid, kUid);
   auto file = fs->write_file(root_cred, std::string(kRoot) + "/" + kFileName,
                              ByteView(body.data(), body.size()));
-  fs->setattr(root_cred, file.value, chown);
+  fs->chown(file.value, kUid, kUid);
 
   net::Host& origin = net.add_host("origin");
-  auto kernel = std::make_shared<nfs::Nfs3Server>(origin, fs, 1,
-                                                  nfs::ServerCostModel());
-  kernel->add_export(
-      nfs::ExportEntry("/GFS", std::set<std::string>{"origin"}));
-  auto kernel_rpc = std::make_unique<rpc::RpcServer>(origin, kKernelPort);
-  kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3, kernel);
-  kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                               kernel->mount_program());
-  kernel_rpc->start();
+  const nfs::KernelNfs kernel(origin, fs, {"origin"}, kKernelPort);
 
   core::ServerProxyConfig scfg;
   scfg.kernel_nfs = net::Address("origin", kKernelPort);
@@ -350,19 +328,11 @@ FlashcrowdResult run_flashcrowd(const FlashcrowdOptions& opt) {
   res.origin_reads =
       res.reads_ok >= res.replica_blocks ? res.reads_ok - res.replica_blocks
                                          : 0;
-  res.sim_seconds = sim::to_seconds(eng.now());
+  res.finish(eng, wall_start);
   res.goodput_bytes_per_s =
       res.sim_seconds > 0
           ? static_cast<double>(res.bytes_read) / res.sim_seconds
           : 0;
-  res.events = eng.events_processed();
-  res.actors = eng.actors_spawned();
-  res.sim_errors = eng.errors().size();
-  res.metrics = obs::scalar_values(eng.metrics());
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return res;
 }
 

@@ -1,16 +1,14 @@
 #include "fleet/fleet.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
 
 #include "net/network.hpp"
-#include "nfs/nfs3_server.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/wire_ops.hpp"
 #include "rpc/retry.hpp"
 #include "rpc/rpc_client.hpp"
-#include "rpc/rpc_server.hpp"
 #include "services/services.hpp"
 #include "sgfs/server_proxy.hpp"
 #include "sgfs/shard_map.hpp"
@@ -32,8 +30,7 @@ constexpr uint64_t kFileBlocks = 16;  // f0 is 16 x 4 KiB
 /// shared FileSystem, and the plain-transport proxy in front of it.
 struct Shard {
   net::Host* host = nullptr;
-  std::shared_ptr<nfs::Nfs3Server> kernel;
-  std::unique_ptr<rpc::RpcServer> kernel_rpc;
+  nfs::KernelNfs kernel;
   std::shared_ptr<core::ServerProxy> proxy;
 
   Shard() = default;
@@ -108,19 +105,12 @@ struct Fleet {
   FleetResult& res;
   Discovery& disc;
 
-  sim::SimTime t0 = 0;
-  sim::SimTime win_start = 0;
-  sim::SimTime win_end = 0;
+  OpTally tally{res, &res.lat_ns, &res};
   BufChain payload;          // shared 4 KiB write body (refcounted chain)
   size_t sessions_done = 0;
 
   Fleet(sim::Engine& e, const FleetOptions& o, FleetResult& r, Discovery& d)
       : eng(e), opt(o), res(r), disc(d) {}
-
-  void bucket_success(sim::SimTime arrival) {
-    const size_t b = static_cast<size_t>((arrival - t0) / sim::kSecond);
-    if (b < res.bucket_ok.size()) ++res.bucket_ok[b];
-  }
 };
 
 sim::Task<void> publish_map(net::Host& ctrl, const net::Address& fss,
@@ -161,7 +151,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
   uint64_t cur_epoch = 0;
 
   co_await f.eng.sleep(phase);
-  while (f.eng.now() < f.win_end) {
+  while (f.eng.now() < f.tally.window().end) {
     bool rediscover = false;  // co_await is illegal inside a handler
     try {
       if (!f.disc.map) co_await f.disc.refresh(false);
@@ -215,7 +205,6 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
 
       // One op: 60% GETATTR / 30% READ / 10% FILE_SYNC WRITE.
       const sim::SimTime arrival = f.eng.now();
-      const bool in_window = arrival >= f.win_start && arrival < f.win_end;
       const uint64_t pick = rng.next_below(100);
       nfs::Status status;
       if (pick < 60) {
@@ -231,32 +220,11 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
             file_fh, off, nfs::StableHow::kFileSync, f.payload);
         status = r.status;
       }
-      if (status == nfs::Status::kOk) {
-        f.bucket_success(arrival);
-        if (in_window) {
-          ++f.res.ok;
-          f.res.lat_ns.push_back(
-              static_cast<uint64_t>(f.eng.now() - arrival));
-        }
-      } else if (status == nfs::Status::kJukebox) {
-        if (in_window) ++f.res.busy;
-      } else {
-        if (in_window) ++f.res.errors;
-      }
-    } catch (const rpc::RpcTimeout&) {
-      const sim::SimTime now = f.eng.now();
-      if (now >= f.win_start && now < f.win_end) ++f.res.giveups;
-      if (ops) {
-        ops->close();
-        ops.reset();
-      }
-      cur_epoch = 0;
-      rediscover = true;
-    } catch (const std::exception&) {
-      // Stream loss / refused connection / failed establishment: drop the
-      // session and go back through discovery.
-      const sim::SimTime now = f.eng.now();
-      if (now >= f.win_start && now < f.win_end) ++f.res.errors;
+      f.tally.reply(status, arrival, f.eng.now());
+    } catch (const std::exception& e) {
+      // Give-up / stream loss / refused connection / failed establishment:
+      // drop the session and go back through discovery.
+      f.tally.failure(e, f.eng.now());
       if (ops) {
         ops->close();
         ops.reset();
@@ -276,7 +244,7 @@ sim::Task<void> session_actor(Fleet& f, net::Host& host, size_t idx,
 /// surviving shards re-learn the epoch without re-establishing).
 sim::Task<void> refresher(Fleet& f) {
   const sim::SimDur period = sim::from_seconds(f.opt.refresh_s);
-  while (f.eng.now() + period < f.win_end) {
+  while (f.eng.now() + period < f.tally.window().end) {
     co_await f.eng.sleep(period);
     co_await f.disc.refresh(true);
   }
@@ -309,30 +277,21 @@ sim::Task<void> drive(Fleet& f, std::vector<net::Host*>& session_hosts,
   co_await publish_map(ctrl, fss_addr, controller_cred, map0);
   co_await f.disc.refresh(true);
 
-  f.t0 = f.eng.now();
   const sim::SimDur warmup = sim::from_seconds(f.opt.warmup_s);
-  f.win_start = f.t0 + warmup;
-  f.win_end = f.win_start + sim::from_seconds(f.opt.window_s);
-  f.res.bucket_ok.assign(
-      static_cast<size_t>((f.win_end - f.t0) / sim::kSecond) + 1, 0);
-  f.res.win_start_bucket = static_cast<size_t>(warmup / sim::kSecond);
-  f.res.win_end_bucket =
-      static_cast<size_t>((f.win_end - f.t0) / sim::kSecond);
+  f.tally.open(Window(f.eng.now(), warmup, sim::from_seconds(f.opt.window_s)));
+  const Window& w = f.tally.window();
 
   // Establishment ramp: session starts spread over 80% of the warmup so
   // the mount/lookup wave stays inside each shard's admission capacity.
   const size_t n = session_hosts.size();
-  const sim::SimDur ramp = warmup - warmup / 5;
-  for (size_t i = 0; i < n; ++i) {
-    const sim::SimDur phase = static_cast<sim::SimDur>(
-        ramp * static_cast<sim::SimDur>(i) / static_cast<sim::SimDur>(n));
-    f.eng.spawn(session_actor(f, *session_hosts[i], i, phase));
-  }
+  spawn_ramp(f.eng, n, warmup - warmup / 5, [&](size_t i, sim::SimDur phase) {
+    return session_actor(f, *session_hosts[i], i, phase);
+  });
   f.eng.spawn(refresher(f));
 
   if (crash_shard != nullptr) {
     const sim::SimTime crash_at =
-        f.win_start + sim::from_seconds(f.opt.crash_at_s);
+        w.start + sim::from_seconds(f.opt.crash_at_s);
     crash_shard->host->crash_restart(
         crash_at, sim::from_seconds(f.opt.downtime_s));
     const std::string& name = crash_shard->host->name();
@@ -346,10 +305,8 @@ sim::Task<void> drive(Fleet& f, std::vector<net::Host*>& session_hosts,
 
   // Wait for every session to wind down (a session blocked in a reconnect
   // loop can outlive the window by a few seconds).
-  co_await f.eng.sleep(f.win_end - f.eng.now());
-  while (f.sessions_done < n) {
-    co_await f.eng.sleep(50 * sim::kMillisecond);
-  }
+  co_await f.eng.sleep(w.end - f.eng.now());
+  co_await drain(f.eng, [&] { return f.sessions_done >= n; });
 }
 
 }  // namespace
@@ -369,29 +326,8 @@ uint64_t FleetResult::fingerprint() const {
   for (uint64_t b : bucket_ok) h.mix(b);
   h.mix(static_cast<uint64_t>(lat_ns.size()));
   for (uint64_t l : lat_ns) h.mix(l);
-  h.mix(static_cast<uint64_t>(sim_seconds * 1e9));
-  h.mix(events);
-  h.mix(actors);
-  h.mix(sim_errors);
+  mix_into(h);
   return h.value();
-}
-
-double FleetResult::percentile_ms(double q) const {
-  if (lat_ns.empty()) return 0;
-  std::vector<uint64_t> v = lat_ns;
-  std::sort(v.begin(), v.end());
-  const size_t idx = static_cast<size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return static_cast<double>(v[idx]) / 1e6;
-}
-
-double FleetResult::mean_goodput(size_t from, size_t to) const {
-  from = std::min(from, bucket_ok.size());
-  to = std::min(to, bucket_ok.size());
-  if (to <= from) return 0;
-  uint64_t sum = 0;
-  for (size_t i = from; i < to; ++i) sum += bucket_ok[i];
-  return static_cast<double>(sum) / static_cast<double>(to - from);
 }
 
 FleetResult run_fleet(const FleetOptions& opt) {
@@ -427,18 +363,14 @@ FleetResult run_fleet(const FleetOptions& opt) {
   auto fs = std::make_shared<vfs::FileSystem>();
   const vfs::Cred root_cred(0, 0);
   const Buffer file_body(static_cast<size_t>(kIoBytes) * kFileBlocks);
-  vfs::SetAttrs chown;
-  chown.uid = kFleetUid;
-  chown.gid = kFleetUid;
   fs->mkdir_p(root_cred, kFleetRoot, 0755);
   for (int i = 0; i < opt.sessions; ++i) {
     const std::string dir = std::string(kFleetRoot) + "/u" +
                             std::to_string(i);
-    auto d = fs->mkdir_p(root_cred, dir, 0755);
-    fs->setattr(root_cred, d.value, chown);
+    fs->chown(fs->mkdir_p(root_cred, dir, 0755).value, kFleetUid, kFleetUid);
     auto file = fs->write_file(root_cred, dir + "/f0",
                                ByteView(file_body.data(), file_body.size()));
-    fs->setattr(root_cred, file.value, chown);
+    fs->chown(file.value, kFleetUid, kFleetUid);
   }
 
   // Shard fleet: kernel NFS + plain-transport server proxy per shard host.
@@ -456,16 +388,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
     san.seek = 300 * sim::kMicrosecond;
     san.bytes_per_sec = 400.0 * 1024 * 1024;
     s.host = &net.add_host(name, san);
-    s.kernel = std::make_shared<nfs::Nfs3Server>(*s.host, fs, /*fsid=*/1,
-                                                 nfs::ServerCostModel());
-    s.kernel->add_export(
-        nfs::ExportEntry("/GFS", std::set<std::string>{name}));
-    s.kernel_rpc = std::make_unique<rpc::RpcServer>(*s.host, kKernelPort);
-    s.kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                   s.kernel);
-    s.kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                   s.kernel->mount_program());
-    s.kernel_rpc->start();
+    s.kernel = nfs::KernelNfs(*s.host, fs, {name}, kKernelPort);
 
     core::ServerProxyConfig scfg;
     scfg.kernel_nfs = net::Address(name, kKernelPort);
@@ -519,10 +442,6 @@ FleetResult run_fleet(const FleetOptions& opt) {
   res.discovery_fetches = disc.fetches;
   res.discovery_failures = disc.failures;
   res.final_epoch = disc.map ? disc.map->epoch() : 0;
-  res.sim_seconds = sim::to_seconds(eng.now());
-  res.events = eng.events_processed();
-  res.actors = eng.actors_spawned();
-  res.sim_errors = eng.errors().size();
   if (crash_shard != nullptr) {
     res.crash_bucket = res.win_start_bucket +
                        static_cast<size_t>(opt.crash_at_s);
@@ -530,11 +449,7 @@ FleetResult run_fleet(const FleetOptions& opt) {
         res.crash_bucket + static_cast<size_t>(opt.downtime_s) +
         static_cast<size_t>(opt.readd_s) + 2 /* re-establish grace */;
   }
-  res.metrics = obs::scalar_values(eng.metrics());
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  res.finish(eng, wall_start);
   return res;
 }
 

@@ -475,15 +475,6 @@ void FsstatRes::encode(xdr::Encoder& e) const {
   e.put_u64(free_bytes);
   e.put_u64(total_files);
 }
-FsstatRes FsstatRes::decode(xdr::Decoder& d) {
-  FsstatRes r;
-  r.status = d.get_enum<Status>();
-  if (r.status != Status::kOk) return r;
-  r.total_bytes = d.get_u64();
-  r.free_bytes = d.get_u64();
-  r.total_files = d.get_u64();
-  return r;
-}
 
 void FsinfoRes::encode(xdr::Encoder& e) const {
   e.put_enum(status);
@@ -491,15 +482,6 @@ void FsinfoRes::encode(xdr::Encoder& e) const {
   e.put_u32(rtmax);
   e.put_u32(wtmax);
   e.put_u32(dtpref);
-}
-FsinfoRes FsinfoRes::decode(xdr::Decoder& d) {
-  FsinfoRes r;
-  r.status = d.get_enum<Status>();
-  if (r.status != Status::kOk) return r;
-  r.rtmax = d.get_u32();
-  r.wtmax = d.get_u32();
-  r.dtpref = d.get_u32();
-  return r;
 }
 
 void CommitArgs::encode(xdr::Encoder& e) const {

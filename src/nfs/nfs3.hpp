@@ -350,7 +350,6 @@ struct FsstatRes {
   uint64_t total_files = 0;
   FsstatRes() = default;
   void encode(xdr::Encoder& e) const;
-  static FsstatRes decode(xdr::Decoder& d);
 };
 
 struct FsinfoRes {
@@ -360,7 +359,6 @@ struct FsinfoRes {
   uint32_t dtpref = 4096;
   FsinfoRes() = default;
   void encode(xdr::Encoder& e) const;
-  static FsinfoRes decode(xdr::Decoder& d);
 };
 
 struct CommitArgs {

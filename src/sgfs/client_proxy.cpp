@@ -59,6 +59,7 @@ ClientProxy::ClientProxy(net::Host& host, ClientProxyConfig config, Rng rng)
   m_jukebox_retries_ = {m, "sgfs.client_proxy.jukebox_retries"};
   m_reconnects_ = {m, "sgfs.client_proxy.reconnects"};
   m_flushed_bytes_ = {m, "sgfs.client_proxy.flushed_bytes"};
+  m_writeback_error_bytes_ = {m, "sgfs.client_proxy.writeback_error_bytes"};
   m_absorbed_getattrs_ = {m, "sgfs.client_proxy.absorbed.getattrs"};
   m_absorbed_lookups_ = {m, "sgfs.client_proxy.absorbed.lookups"};
   m_absorbed_reads_ = {m, "sgfs.client_proxy.absorbed.reads"};
@@ -943,12 +944,26 @@ sim::Task<void> ClientProxy::complete_writeback(
     for (; it != end; ++it) {
       const BlockKey key{sent[i].fh.fileid, it->first};
       const auto& [stamp, data] = it->second;
-      flushed_bytes_ += data.size();
-      m_flushed_bytes_.inc(data.size());
+      if (res.status == Status::kOk) {
+        flushed_bytes_ += data.size();
+        m_flushed_bytes_.inc(data.size());
+      } else {
+        m_writeback_error_bytes_.inc(data.size());
+      }
       // A WRITE absorbed while this one was in flight stored the block
       // again (bumping its LRU tick): those bytes have not gone out yet.
+      // A refused block is dropped, not kept: dirty, it would be
+      // evict_if_needed's victim again and again; clean, it would serve
+      // bytes the server never took.  Its attributes go with it, so the
+      // next READ asks the origin.
       auto b = blocks_.find(key);
-      if (b != blocks_.end() && b->second.lru == stamp) mark_clean(key);
+      if (b != blocks_.end() && b->second.lru == stamp) {
+        mark_clean(key);
+        if (res.status != Status::kOk) {
+          erase_block(b);
+          attrs_.erase(key.first);
+        }
+      }
       // If this went out UNSTABLE and the file server restarts before
       // COMMIT, exactly these bytes are resent.
       if (res.status == Status::kOk &&

@@ -93,6 +93,7 @@ class ClientProxy : public rpc::RpcProgram,
   uint64_t cancelled_writeback_bytes() const {
     return cancelled_writeback_bytes_;
   }
+  /// Write-back bytes the file server accepted (refused ones are lost).
   uint64_t flushed_bytes() const { return flushed_bytes_; }
   uint64_t dirty_bytes() const;
   uint32_t key_generation() const;
@@ -350,7 +351,8 @@ class ClientProxy : public rpc::RpcProgram,
   // Hot-path metric handles (lazy first-use resolution; see
   // obs::CounterHandle).
   obs::CounterHandle m_sessions_, m_forwarded_, m_jukebox_retries_;
-  obs::CounterHandle m_reconnects_, m_flushed_bytes_;
+  obs::CounterHandle m_reconnects_, m_flushed_bytes_,
+      m_writeback_error_bytes_;
   obs::CounterHandle m_absorbed_getattrs_, m_absorbed_lookups_;
   obs::CounterHandle m_absorbed_reads_, m_absorbed_writes_;
   // Storage-integrity counters (lazy: encryption-off runs never register

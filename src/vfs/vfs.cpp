@@ -498,6 +498,13 @@ Result<FileId> FileSystem::write_file(const Cred& cred,
   return file;
 }
 
+void FileSystem::chown(FileId id, uint32_t uid, uint32_t gid) {
+  SetAttrs owner;
+  owner.uid = uid;
+  owner.gid = gid;
+  setattr(Cred(0, 0), id, owner);
+}
+
 Result<Buffer> FileSystem::read_file(const Cred& cred,
                                      const std::string& path) const {
   auto id = resolve(cred, path);

@@ -171,6 +171,8 @@ class FileSystem {
   Result<FileId> write_file(const Cred& cred, const std::string& path,
                             ByteView content, uint32_t mode = 0644);
   Result<Buffer> read_file(const Cred& cred, const std::string& path) const;
+  /// Gives `id` to uid:gid, as root.
+  void chown(FileId id, uint32_t uid, uint32_t gid);
 
   size_t inode_count() const { return inodes_.size(); }
 

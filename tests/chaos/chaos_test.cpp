@@ -26,8 +26,8 @@
 
 #include "baselines/testbed.hpp"
 #include "net/fault.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
-#include "nfs/nfs3_server.hpp"
 
 namespace sgfs {
 namespace {
@@ -49,8 +49,7 @@ struct Rig {
   net::Host* client_host;
   net::Host* server_host;
   std::shared_ptr<vfs::FileSystem> fs;
-  std::shared_ptr<nfs::Nfs3Server> nfs_server;
-  std::unique_ptr<rpc::RpcServer> rpc_server;
+  nfs::KernelNfs kernel;
 
   Rig() {
     client_host = &net.add_host("client");
@@ -58,14 +57,7 @@ struct Rig {
     fs = std::make_shared<vfs::FileSystem>();
     vfs::Cred root(0, 0);
     fs->mkdir_p(root, "/GFS/data", 0777);
-    nfs_server = std::make_shared<nfs::Nfs3Server>(*server_host, fs);
-    nfs_server->add_export(nfs::ExportEntry("/GFS"));
-    rpc_server = std::make_unique<rpc::RpcServer>(*server_host, 2049);
-    rpc_server->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                 nfs_server);
-    rpc_server->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                 nfs_server->mount_program());
-    rpc_server->start();
+    kernel = nfs::KernelNfs(*server_host, fs, {});
   }
 
   sim::Task<std::shared_ptr<MountPoint>> do_mount(
@@ -99,7 +91,7 @@ TEST(ChaosKernel, EvictionWritebackReplayAfterServerCrash) {
     co_await mp->write(fd, payload);
     // Evictions have pushed at least 12 blocks UNSTABLE without a COMMIT.
     EXPECT_GE(mp->uncommitted_blocks(), 12u);
-    EXPECT_GE(rig.nfs_server->unstable_bytes_for(0), 0u);  // accessor smoke
+    EXPECT_GE(rig.kernel.server->unstable_bytes_for(0), 0u);  // accessor smoke
 
     rig.server_host->crash_restart(rig.eng.now() + 1_ms, 100_ms);
     co_await rig.eng.sleep(300_ms);  // past the downtime: reconnects succeed
@@ -212,10 +204,10 @@ TEST(ChaosKernel, RemoveErasesServerUnstableTracking) {
                                nfs::kWrOnly | nfs::kCreate);
     co_await mp->write(fd, payload);
     // Evictions left UNSTABLE bytes on the server, no COMMIT yet.
-    EXPECT_EQ(rig.nfs_server->unstable_files(), 1u);
+    EXPECT_EQ(rig.kernel.server->unstable_files(), 1u);
 
     co_await mp->unlink("data/victim.bin");
-    EXPECT_EQ(rig.nfs_server->unstable_files(), 0u);
+    EXPECT_EQ(rig.kernel.server->unstable_files(), 0u);
 
     co_await mp->close(fd);  // no flush left: write-backs were cancelled
     auto got = rig.fs->read_file(vfs::Cred(0, 0), "/GFS/data/victim.bin");

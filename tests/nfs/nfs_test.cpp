@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "net/fault.hpp"
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "nfs/nfs4.hpp"
 
 namespace sgfs::nfs {
@@ -19,8 +19,7 @@ struct Rig {
   net::Host* client_host;
   net::Host* server_host;
   std::shared_ptr<vfs::FileSystem> fs;
-  std::shared_ptr<Nfs3Server> nfs_server;
-  std::unique_ptr<rpc::RpcServer> rpc_server;
+  KernelNfs kernel;
 
   Rig() {
     client_host = &net.add_host("client");
@@ -29,15 +28,9 @@ struct Rig {
     vfs::Cred root(0, 0);
     fs->mkdir_p(root, "/GFS/data", 0777);  // world-writable scratch tree
     fs->write_file(root, "/GFS/data/hello.txt", to_bytes("hello grid"));
-    nfs_server = std::make_shared<Nfs3Server>(*server_host, fs);
-    nfs_server->add_export(ExportEntry("/GFS"));
-    rpc_server = std::make_unique<rpc::RpcServer>(*server_host, 2049);
-    rpc_server->register_program(kNfsProgram, kNfsVersion3, nfs_server);
-    rpc_server->register_program(kMountProgram, kMountVersion3,
-                                 nfs_server->mount_program());
-    rpc_server->register_program(kNfsProgram, kNfsVersion4,
-                                 std::make_shared<Nfs4Server>(nfs_server));
-    rpc_server->start();
+    kernel = KernelNfs(*server_host, fs, {});
+    kernel.rpc->register_program(kNfsProgram, kNfsVersion4,
+                                 std::make_shared<Nfs4Server>(kernel.server));
   }
 
   sim::Task<std::shared_ptr<MountPoint>> do_mount(
@@ -329,7 +322,7 @@ TEST(NfsClient, ReadaheadPipelinesSequentialReads) {
     vfs::Cred root(0, 0);
     Rng rng(4);
     rig.fs->write_file(root, "/GFS/data/seq.bin", rng.bytes(64 * 32768));
-    rig.nfs_server->warm_file("/GFS/data/seq.bin");
+    rig.kernel.server->warm_file("/GFS/data/seq.bin");
 
     Nfs3ClientConfig with_ra;
     with_ra.readahead_blocks = 8;
@@ -431,15 +424,15 @@ TEST(NfsServer, DiskChargedOnColdReadsOnly) {
     Buffer buf(256 * 1024);
     co_await mp->read(fd, buf);
     co_await mp->close(fd);
-    EXPECT_GT(rig.nfs_server->disk_reads(), 0u);
-    const uint64_t cold = rig.nfs_server->disk_reads();
+    EXPECT_GT(rig.kernel.server->disk_reads(), 0u);
+    const uint64_t cold = rig.kernel.server->disk_reads();
 
     // Second client re-reads: server page cache is warm now.
     auto mp2 = co_await rig.do_mount(false);
     fd = co_await mp2->open("data/cold.bin", kRdOnly);
     co_await mp2->read(fd, buf);
     co_await mp2->close(fd);
-    EXPECT_EQ(rig.nfs_server->disk_reads(), cold);
+    EXPECT_EQ(rig.kernel.server->disk_reads(), cold);
   }(rig));
 }
 
@@ -448,8 +441,8 @@ TEST(NfsServer, OpCountersTrack) {
   rig.eng.run_task([](Rig& rig) -> Task<void> {
     auto mp = co_await rig.do_mount(false);
     (void)co_await mp->stat("data/hello.txt");
-    EXPECT_GT(rig.nfs_server->ops_total(), 0u);
-    EXPECT_GT(rig.nfs_server->ops_for(Proc3::kLookup), 0u);
+    EXPECT_GT(rig.kernel.server->ops_total(), 0u);
+    EXPECT_GT(rig.kernel.server->ops_for(Proc3::kLookup), 0u);
   }(rig));
 }
 
@@ -494,8 +487,8 @@ TEST(Nfs3Drc, RetransmittedCreateReturnsOriginalReply) {
 
   // Byte-identical replies, one execution, one cache hit.
   EXPECT_EQ(wire1, wire2);
-  EXPECT_EQ(rig.nfs_server->ops_for(Proc3::kCreate), 1u);
-  EXPECT_EQ(rig.rpc_server->drc_hits(), 1u);
+  EXPECT_EQ(rig.kernel.server->ops_for(Proc3::kCreate), 1u);
+  EXPECT_EQ(rig.kernel.rpc->drc_hits(), 1u);
   rpc::ReplyMsg reply = rpc::ReplyMsg::deserialize(wire1);
   xdr::Decoder dec(reply.results);
   CreateRes res = CreateRes::decode(dec);
@@ -512,7 +505,7 @@ TEST(Nfs3Drc, IdempotentOpsAreNotCached) {
     (void)co_await ops->getattr(root);
     ops->close();
   }(rig));
-  EXPECT_EQ(rig.rpc_server->drc_hits(), 0u);
+  EXPECT_EQ(rig.kernel.rpc->drc_hits(), 0u);
   EXPECT_TRUE(proc3_is_idempotent(Proc3::kGetattr));
   EXPECT_TRUE(proc3_is_idempotent(Proc3::kRead));
   EXPECT_FALSE(proc3_is_idempotent(Proc3::kCreate));
@@ -617,15 +610,15 @@ TEST(NfsMetrics, InjectedDropRetransmitsAndDrcSuppressesReexecution) {
   EXPECT_GT(reg.counter_value("rpc.client.retransmits"), 0u);
   EXPECT_GT(reg.counter_value("rpc.server.drc.hits"), 0u);
   // ...yet every non-idempotent CREATE executed exactly once.
-  EXPECT_EQ(rig.nfs_server->ops_for(Proc3::kCreate), kCreates + 0u);
+  EXPECT_EQ(rig.kernel.server->ops_for(Proc3::kCreate), kCreates + 0u);
   EXPECT_TRUE(rig.eng.errors().empty());
 }
 
 TEST(NfsV4, CompoundCountsTrack) {
   Rig rig;
-  auto v4 = std::make_shared<Nfs4Server>(rig.nfs_server);
+  auto v4 = std::make_shared<Nfs4Server>(rig.kernel.server);
   // Re-register to grab a handle on the same instance the rig registered.
-  rig.rpc_server->register_program(kNfsProgram, kNfsVersion4, v4);
+  rig.kernel.rpc->register_program(kNfsProgram, kNfsVersion4, v4);
   rig.eng.run_task([](Rig& rig, Nfs4Server& v4) -> Task<void> {
     auto mp = co_await rig.do_mount(true);
     (void)co_await mp->stat("data/hello.txt");

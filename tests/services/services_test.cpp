@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "services/services.hpp"
 
 namespace sgfs::services {
@@ -115,8 +115,7 @@ struct ServiceRig {
   net::Host* fileserver;
   net::Host* middleware;
   std::shared_ptr<vfs::FileSystem> fs;
-  std::shared_ptr<nfs::Nfs3Server> kernel_nfs;
-  std::unique_ptr<rpc::RpcServer> kernel_rpc;
+  nfs::KernelNfs kernel;
   std::shared_ptr<FileSystemService> fss_server;
   std::shared_ptr<FileSystemService> fss_client;
   std::shared_ptr<DataSchedulerService> dss;
@@ -127,21 +126,9 @@ struct ServiceRig {
     middleware = &net.add_host("middleware");
 
     fs = std::make_shared<vfs::FileSystem>();
-    vfs::Cred root(0, 0);
-    fs->mkdir_p(root, "/GFS/alice", 0755);
-    auto home = fs->resolve(root, "/GFS/alice");
-    vfs::SetAttrs chown;
-    chown.uid = 2001;
-    chown.gid = 2001;
-    fs->setattr(root, home.value, chown);
-    kernel_nfs = std::make_shared<nfs::Nfs3Server>(*fileserver, fs);
-    kernel_nfs->add_export(nfs::ExportEntry("/GFS", {"fileserver"}));
-    kernel_rpc = std::make_unique<rpc::RpcServer>(*fileserver, 2049);
-    kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                 kernel_nfs);
-    kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                 kernel_nfs->mount_program());
-    kernel_rpc->start();
+    fs->chown(fs->mkdir_p(vfs::Cred(0, 0), "/GFS/alice", 0755).value, 2001,
+              2001);
+    kernel = nfs::KernelNfs(*fileserver, fs, {"fileserver"});
 
     std::vector<crypto::Certificate> trusted = {pki().ca.root()};
     std::vector<std::string> controllers = {"/O=Grid/CN=dss"};
@@ -227,6 +214,53 @@ TEST(Services, GrantExtendsSharing) {
         crypto::Cipher::kRc4_128, crypto::MacAlgo::kHmacSha1, cache);
     EXPECT_GT(session.client_proxy_port, 0);
   }(rig));
+}
+
+// Revoking a DN refuses that user's next CreateSession and leaves every
+// other grant working; a stopped DSS refuses calls altogether.
+TEST(Services, RevokeRefusesNextSessionAndStopRefusesAll) {
+  ServiceRig rig;
+  rig.dss->grant("/GFS/alice", "/O=UFL/CN=mallory");
+  rig.eng.run_task([](ServiceRig& rig) -> Task<void> {
+    const core::CacheConfig cache;
+    const net::Address dss("middleware", 7000);
+    const net::Address fss("compute", 6000);
+    DssClient mallory(*rig.compute, dss, pki().mallory_cred,
+                      {pki().ca.root()}, Rng(909));
+    DssClient alice(*rig.compute, dss, pki().alice, {pki().ca.root()},
+                    Rng(910));
+    auto first = co_await mallory.create_session(
+        "/GFS/alice", "compute", fss, crypto::Cipher::kRc4_128,
+        crypto::MacAlgo::kHmacSha1, cache);
+    EXPECT_GT(first.client_proxy_port, 0);
+
+    rig.dss->revoke("/GFS/alice", "/O=UFL/CN=mallory");
+    std::string refused;
+    try {
+      (void)co_await mallory.create_session(
+          "/GFS/alice", "compute", fss, crypto::Cipher::kRc4_128,
+          crypto::MacAlgo::kHmacSha1, cache);
+    } catch (const std::runtime_error& e) {
+      refused = e.what();
+    }
+    EXPECT_NE(refused.find("denied"), std::string::npos) << refused;
+    auto kept = co_await alice.create_session(
+        "/GFS/alice", "compute", fss, crypto::Cipher::kRc4_128,
+        crypto::MacAlgo::kHmacSha1, cache);
+    EXPECT_GT(kept.client_proxy_port, 0);
+
+    rig.dss->stop();
+    bool stopped = false;
+    try {
+      (void)co_await alice.create_session(
+          "/GFS/alice", "compute", fss, crypto::Cipher::kRc4_128,
+          crypto::MacAlgo::kHmacSha1, cache);
+    } catch (const std::exception&) {
+      stopped = true;
+    }
+    EXPECT_TRUE(stopped);
+  }(rig));
+  EXPECT_TRUE(rig.eng.errors().empty());
 }
 
 TEST(Services, FssRejectsNonControllerEnvelopes) {

@@ -3,8 +3,8 @@
 // VFS.  This is the paper's Figure 1/3 deployment in miniature.
 #include <gtest/gtest.h>
 
+#include "nfs/kernel_nfs.hpp"
 #include "nfs/nfs3_client.hpp"
-#include "nfs/nfs3_server.hpp"
 #include "obs/metrics.hpp"
 #include "sgfs/client_proxy.hpp"
 #include "sgfs/server_proxy.hpp"
@@ -42,8 +42,7 @@ struct Grid {
   net::Host* compute;
   net::Host* fileserver;
   std::shared_ptr<vfs::FileSystem> fs;
-  std::shared_ptr<nfs::Nfs3Server> kernel_nfs;
-  std::unique_ptr<rpc::RpcServer> kernel_rpc;
+  nfs::KernelNfs kernel;
   std::shared_ptr<ServerProxy> server_proxy;
   std::shared_ptr<ClientProxy> client_proxy;
 
@@ -58,21 +57,9 @@ struct Grid {
 
     // Kernel NFS server exporting /GFS to localhost only (Figure 1).
     fs = std::make_shared<vfs::FileSystem>();
-    vfs::Cred root(0, 0);
-    fs->mkdir_p(root, "/GFS/alice", 0755);
-    auto dir = fs->resolve(root, "/GFS/alice");
-    vfs::SetAttrs chown;
-    chown.uid = kAliceUid;
-    chown.gid = kAliceUid;
-    fs->setattr(root, dir.value, chown);
-    kernel_nfs = std::make_shared<nfs::Nfs3Server>(*fileserver, fs);
-    kernel_nfs->add_export(nfs::ExportEntry("/GFS", {"fileserver"}));
-    kernel_rpc = std::make_unique<rpc::RpcServer>(*fileserver, 2049);
-    kernel_rpc->register_program(nfs::kNfsProgram, nfs::kNfsVersion3,
-                                 kernel_nfs);
-    kernel_rpc->register_program(nfs::kMountProgram, nfs::kMountVersion3,
-                                 kernel_nfs->mount_program());
-    kernel_rpc->start();
+    fs->chown(fs->mkdir_p(vfs::Cred(0, 0), "/GFS/alice", 0755).value,
+              kAliceUid, kAliceUid);
+    kernel = nfs::KernelNfs(*fileserver, fs, {"fileserver"});
 
     // Server-side proxy on the file server.
     ServerProxyConfig scfg;
@@ -500,6 +487,36 @@ TEST(Sgfs, DirtyBlockReadWithoutAttributeCache) {
     }(grid));
     EXPECT_TRUE(grid.eng.errors().empty());
   }
+}
+
+// A write-back WRITE the file server refuses (EACCES: alice writes root's
+// 0644 file, which the proxy absorbed and acknowledged) loses those bytes.
+// The loss must show: they are not counted as flushed but as
+// sgfs.client_proxy.writeback_error_bytes, a counter that exists only once
+// an error happened.  The block is still marked clean.
+TEST(Sgfs, RefusedWritebackIsCountedAsLost) {
+  Grid grid(pki().alice);
+  grid.fs->write_file(vfs::Cred(0, 0), "/GFS/alice/root.txt",
+                      Buffer(32 * 1024, 0x11), 0644);
+  grid.eng.run_task([](Grid& grid) -> Task<void> {
+    const std::string lost = "sgfs.client_proxy.writeback_error_bytes";
+    auto mp = co_await grid.mount_session();
+    co_await write_dirty(*mp, "root.txt", 32 * 1024, 0xAA);
+    EXPECT_EQ(grid.eng.metrics().counters().count(lost), 0u);
+    co_await grid.client_proxy->flush();
+    EXPECT_EQ(server_file(grid, "root.txt"), Buffer(32 * 1024, 0x11));
+    EXPECT_EQ(grid.eng.metrics().counter_value(lost), 32u * 1024);
+    EXPECT_EQ(grid.client_proxy->flushed_bytes(), 0u);
+    EXPECT_EQ(grid.client_proxy->dirty_bytes(), 0u);
+    // The refused bytes are not served from the proxy cache either.
+    mp->drop_caches();
+    Buffer got(32 * 1024);
+    int fd = co_await mp->open("root.txt", nfs::kRdOnly);
+    EXPECT_EQ(co_await mp->read(fd, got), got.size());
+    co_await mp->close(fd);
+    EXPECT_EQ(got, Buffer(32 * 1024, 0x11));
+  }(grid));
+  EXPECT_TRUE(grid.eng.errors().empty());
 }
 
 // RENAME over an existing file unlinks it: its pending write-back is
